@@ -313,13 +313,14 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"loop\": {\"enqueued\": %llu, \"completed\": %llu, "
                "\"dropped\": %llu, \"cache_hit_jobs\": %llu, "
-               "\"corrections_applied\": %llu, "
+               "\"memo_hits\": %llu, \"corrections_applied\": %llu, "
                "\"corrections_passthrough\": %llu, \"subspaces\": %zu, "
                "\"entries\": %zu}\n}\n",
                (unsigned long long)stats.feedback.worker.enqueued,
                (unsigned long long)stats.feedback.worker.completed,
                (unsigned long long)stats.feedback.worker.dropped,
                (unsigned long long)stats.feedback.cache_hit_jobs,
+               (unsigned long long)stats.feedback.worker.memo_hits,
                (unsigned long long)stats.feedback.corrections_applied,
                (unsigned long long)stats.feedback.corrections_passthrough,
                stats.feedback.models.subspaces, stats.feedback.models.entries);

@@ -1,10 +1,12 @@
 #ifndef ARECEL_FEEDBACK_HUB_H_
 #define ARECEL_FEEDBACK_HUB_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "feedback/online_model.h"
 #include "feedback/truth_worker.h"
@@ -12,11 +14,12 @@
 namespace arecel::feedback {
 
 struct FeedbackHubStats {
-  TruthWorkerStats worker;
+  TruthWorkerStats worker;          // includes the truth memo's hits.
   FeedbackModelStats models;        // aggregated over all residual models.
   uint64_t corrections_applied = 0; // Correct() calls that moved an estimate.
   uint64_t corrections_passthrough = 0;  // no learned subspace; base kept.
   uint64_t cache_hit_jobs = 0;      // truth jobs born from cache hits.
+  uint64_t stale_jobs = 0;          // truths below the version floor, dropped.
 };
 
 // The serving-side feedback loop: one residual OnlineSubspaceModel per
@@ -27,10 +30,16 @@ struct FeedbackHubStats {
 // subspace gets pulled down toward the executed truth, per-subspace, like
 // AQO's learn_sample over fss_hash spaces.
 //
-// Version discipline: truth jobs carry the data version their estimate was
-// served under; InvalidateDataset(dataset, new_version) — called from the
-// §5.1 append-update path — drops every entry learned under older versions,
-// so stale truths never correct fresh models.
+// Version discipline: truth jobs carry the data version of the table
+// snapshot they are labelled on; InvalidateDataset(dataset, new_version) —
+// called from the §5.1 append-update path — drops every entry learned under
+// older versions and raises the dataset's version floor to new_version. A
+// job still in flight on the old snapshot when the update lands carries an
+// older version; LearnTruth drops it (counted as stale_jobs) instead of
+// learning it after the invalidation, so stale truths never correct fresh
+// models. Jobs with a `deliver` override are not subject to the floor: they
+// teach the model instance that served them, which the update's refresh
+// replaces.
 class FeedbackHub {
  public:
   explicit FeedbackHub(FeedbackOptions options = FeedbackOptionsFromEnv(),
@@ -54,12 +63,18 @@ class FeedbackHub {
 
   // Folds one labeled truth into the residual model — the worker callback,
   // also callable directly for deterministic tests. Jobs with a `deliver`
-  // override are handed off instead (see TruthJob).
+  // override are handed off instead (see TruthJob); jobs below their
+  // dataset's version floor are dropped.
   void LearnTruth(const TruthJob& job, double truth);
 
   // Drops feedback learned under data versions older than `min_version`
-  // for every estimator serving `dataset`. Returns entries dropped.
+  // for every estimator serving `dataset`, and refuses such truths from now
+  // on. Returns entries dropped.
   size_t InvalidateDataset(const std::string& dataset, uint64_t min_version);
+
+  // Forgets everything learned for `dataset` and lowers its version floor
+  // back to 0: the dataset was registered again, and its versions restart.
+  void ResetDataset(const std::string& dataset);
 
   // Blocks until all queued truth jobs have been learned.
   void Drain();
@@ -69,19 +84,30 @@ class FeedbackHub {
   const FeedbackOptions& options() const { return options_; }
 
  private:
-  OnlineSubspaceModel* ModelFor(const std::string& dataset,
-                                const std::string& estimator,
-                                bool create) const;
+  using EstimatorModels =
+      std::map<std::string, std::unique_ptr<OnlineSubspaceModel>>;
+
+  // Null when no truth has been learned for the pair yet. Models are never
+  // erased, so the pointer stays valid after the lock is released.
+  OnlineSubspaceModel* FindModel(const std::string& dataset,
+                                 const std::string& estimator) const;
+  std::vector<const OnlineSubspaceModel*> AllModels() const;
 
   FeedbackOptions options_;
 
-  mutable std::mutex mutex_;
-  // Key: dataset + '\x1f' + estimator. Ordered so InvalidateDataset can walk
-  // the dataset's contiguous key range.
-  mutable std::map<std::string, std::unique_ptr<OnlineSubspaceModel>> models_;
-  mutable uint64_t corrections_applied_ = 0;
-  mutable uint64_t corrections_passthrough_ = 0;
-  uint64_t cache_hit_jobs_ = 0;
+  mutable std::mutex mutex_;  // guards models_.
+  std::map<std::string, EstimatorModels> models_;  // dataset -> estimator.
+
+  // Serializes LearnTruth with InvalidateDataset, so a truth is either
+  // learned before an invalidation (and dropped by it) or checked against
+  // the floor it raised. Neither Correct() nor the serving path takes it.
+  std::mutex learn_mutex_;
+  std::map<std::string, uint64_t> version_floors_;
+
+  mutable std::atomic<uint64_t> corrections_applied_{0};
+  mutable std::atomic<uint64_t> corrections_passthrough_{0};
+  std::atomic<uint64_t> cache_hit_jobs_{0};
+  std::atomic<uint64_t> stale_jobs_{0};
 
   std::unique_ptr<TruthWorker> worker_;  // last member: stops before maps die.
 };

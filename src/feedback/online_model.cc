@@ -1,5 +1,7 @@
 #include "feedback/online_model.h"
 
+#include "feedback/online_model_detail.h"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -11,6 +13,62 @@ namespace {
 // Weight floor: an exact feature match must dominate every non-zero
 // distance without dividing by zero.
 constexpr double kDistanceEpsilon = 1e-6;
+
+bool VacuousPredicate(const Predicate& p,
+                      const std::vector<ColumnSpan>& spans) {
+  if (p.column < 0 || static_cast<size_t>(p.column) >= spans.size())
+    return false;
+  const ColumnSpan& span = spans[static_cast<size_t>(p.column)];
+  return p.lo <= span.lo && p.hi >= span.hi;
+}
+
+// The canonical form of a query, computed in one pass: its non-vacuous
+// predicates sorted by (column, lo, hi), written out as the subspace
+// fingerprint (column bytes plus an eq/range tag each) and as the feature
+// vector (normalized lo, hi each). `sorted` is scratch. The buffers are
+// cleared, not shrunk, so a caller that reuses them allocates nothing once
+// they have grown to its largest query.
+void Canonicalize(const Query& query, const std::vector<ColumnSpan>& spans,
+                  std::vector<Predicate>* sorted, std::string* key,
+                  std::vector<double>* features) {
+  sorted->clear();
+  for (const Predicate& p : query.predicates)
+    if (!VacuousPredicate(p, spans)) sorted->push_back(p);
+  std::sort(sorted->begin(), sorted->end(),
+            [](const Predicate& a, const Predicate& b) {
+              if (a.column != b.column) return a.column < b.column;
+              if (a.lo != b.lo) return a.lo < b.lo;
+              return a.hi < b.hi;
+            });
+  key->clear();
+  features->clear();
+  for (const Predicate& p : *sorted) {
+    const int32_t column = p.column;
+    key->append(reinterpret_cast<const char*>(&column), sizeof(column));
+    key->push_back(p.is_equality() ? 'e' : 'r');
+    double lo = 0.0, hi = 1.0;
+    if (p.column >= 0 && static_cast<size_t>(p.column) < spans.size()) {
+      const ColumnSpan& span = spans[static_cast<size_t>(p.column)];
+      const double width = span.hi - span.lo;
+      if (width > 0) {
+        lo = (std::clamp(p.lo, span.lo, span.hi) - span.lo) / width;
+        hi = (std::clamp(p.hi, span.lo, span.hi) - span.lo) / width;
+      } else {
+        lo = hi = 0.0;
+      }
+    }
+    features->push_back(lo);
+    features->push_back(hi);
+  }
+}
+
+// Per-thread buffers for Predict, which runs on every served request.
+struct PredictScratch {
+  std::vector<Predicate> sorted;
+  std::string key;
+  std::vector<double> features;
+  std::vector<detail::Neighbour> scored;
+};
 
 double EnvDouble(const char* name, double fallback) {
   const char* value = std::getenv(name);
@@ -77,86 +135,42 @@ bool OnlineSubspaceModel::bound() const {
   return !spans_.empty();
 }
 
-bool OnlineSubspaceModel::VacuousPredicate(const Predicate& p) const {
-  if (p.column < 0 || static_cast<size_t>(p.column) >= spans_.size())
-    return false;
-  const ColumnSpan& span = spans_[static_cast<size_t>(p.column)];
-  return p.lo <= span.lo && p.hi >= span.hi;
+void detail::SelectNearest(std::vector<Neighbour>* scored, size_t k) {
+  // Sequence numbers are unique, so (distance, -seq) is a total order and
+  // the first k come out exactly as a full sort would put them.
+  k = std::min(k, scored->size());
+  std::partial_sort(scored->begin(), scored->begin() + k, scored->end(),
+                    [](const Neighbour& a, const Neighbour& b) {
+                      if (a.distance != b.distance)
+                        return a.distance < b.distance;
+                      return a.seq > b.seq;  // newer wins exact ties.
+                    });
 }
 
 std::string OnlineSubspaceModel::SubspaceFingerprint(
     const Query& query) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return FingerprintLocked(query);
-}
-
-std::string OnlineSubspaceModel::FingerprintLocked(const Query& query) const {
   std::vector<Predicate> sorted;
-  sorted.reserve(query.predicates.size());
-  for (const Predicate& p : query.predicates)
-    if (!VacuousPredicate(p)) sorted.push_back(p);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Predicate& a, const Predicate& b) {
-              if (a.column != b.column) return a.column < b.column;
-              if (a.lo != b.lo) return a.lo < b.lo;
-              return a.hi < b.hi;
-            });
   std::string key;
-  key.reserve(sorted.size() * (sizeof(int32_t) + 1));
-  for (const Predicate& p : sorted) {
-    const int32_t column = p.column;
-    key.append(reinterpret_cast<const char*>(&column), sizeof(column));
-    key.push_back(p.is_equality() ? 'e' : 'r');
-  }
-  return key;
-}
-
-std::vector<double> OnlineSubspaceModel::Features(const Query& query) const {
-  // Caller holds mutex_. Same canonical order as the fingerprint: sorted
-  // non-vacuous predicates, two features (normalized lo, hi) each.
-  std::vector<Predicate> sorted;
-  sorted.reserve(query.predicates.size());
-  for (const Predicate& p : query.predicates)
-    if (!VacuousPredicate(p)) sorted.push_back(p);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Predicate& a, const Predicate& b) {
-              if (a.column != b.column) return a.column < b.column;
-              if (a.lo != b.lo) return a.lo < b.lo;
-              return a.hi < b.hi;
-            });
   std::vector<double> features;
-  features.reserve(sorted.size() * 2);
-  for (const Predicate& p : sorted) {
-    double lo = 0.0, hi = 1.0;
-    if (p.column >= 0 && static_cast<size_t>(p.column) < spans_.size()) {
-      const ColumnSpan& span = spans_[static_cast<size_t>(p.column)];
-      const double width = span.hi - span.lo;
-      if (width > 0) {
-        lo = (std::clamp(p.lo, span.lo, span.hi) - span.lo) / width;
-        hi = (std::clamp(p.hi, span.lo, span.hi) - span.lo) / width;
-      } else {
-        lo = hi = 0.0;
-      }
-    }
-    features.push_back(lo);
-    features.push_back(hi);
-  }
-  return features;
+  std::lock_guard<std::mutex> lock(mutex_);
+  Canonicalize(query, spans_, &sorted, &key, &features);
+  return key;
 }
 
 void OnlineSubspaceModel::Observe(const Query& query, double target,
                                   uint64_t version) {
   if (!std::isfinite(target)) return;  // refuse to learn garbage.
-  std::lock_guard<std::mutex> lock(mutex_);
   target = std::clamp(target, -options_.max_abs_target,
                       options_.max_abs_target);
-  const std::string key = FingerprintLocked(query);
-  Subspace& subspace = subspaces_[key];
-  ++seq_;
+  std::vector<Predicate> sorted;
+  std::string key;
   Entry entry;
-  entry.features = Features(query);
   entry.target = target;
   entry.version = version;
+  std::lock_guard<std::mutex> lock(mutex_);
+  Canonicalize(query, spans_, &sorted, &key, &entry.features);
+  Subspace& subspace = subspaces_[key];
+  ++seq_;
   entry.seq = seq_;
   if (subspace.ring.size() < options_.max_entries_per_subspace) {
     subspace.ring.push_back(std::move(entry));
@@ -189,23 +203,20 @@ void OnlineSubspaceModel::EvictSubspacesLocked() {
 }
 
 bool OnlineSubspaceModel::Predict(const Query& query, double* target) const {
+  thread_local PredictScratch scratch;
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::string key = FingerprintLocked(query);
-  auto it = subspaces_.find(key);
+  Canonicalize(query, spans_, &scratch.sorted, &scratch.key,
+               &scratch.features);
+  const std::vector<double>& features = scratch.features;
+  auto it = subspaces_.find(scratch.key);
   if (it == subspaces_.end() || it->second.ring.empty()) {
     ++stats_.misses;
     return false;
   }
   const Subspace& subspace = it->second;
-  const std::vector<double> features = Features(query);
 
-  struct Scored {
-    double distance;
-    uint64_t seq;
-    double target;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(subspace.ring.size());
+  std::vector<detail::Neighbour>& scored = scratch.scored;
+  scored.clear();
   for (const Entry& entry : subspace.ring) {
     double d2 = 0.0;
     const size_t n = std::min(entry.features.size(), features.size());
@@ -215,16 +226,12 @@ bool OnlineSubspaceModel::Predict(const Query& query, double* target) const {
     }
     scored.push_back({std::sqrt(d2), entry.seq, entry.target});
   }
-  std::sort(scored.begin(), scored.end(), [](const Scored& a,
-                                             const Scored& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.seq > b.seq;  // prefer the newer observation on exact ties.
-  });
+  const size_t k = std::min(options_.neighbors, scored.size());
+  detail::SelectNearest(&scored, k);
   if (scored.front().distance > options_.trust_radius) {
     ++stats_.misses;
     return false;
   }
-  const size_t k = std::min(options_.neighbors, scored.size());
   double weight_sum = 0.0, weighted = 0.0;
   for (size_t i = 0; i < k; ++i) {
     const double w = 1.0 / (kDistanceEpsilon + scored[i].distance);

@@ -2,7 +2,6 @@
 #define ARECEL_FEEDBACK_ONLINE_MODEL_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -164,9 +163,6 @@ class OnlineSubspaceModel {
     uint64_t last_touch = 0;  // for LRU eviction across subspaces.
   };
 
-  std::string FingerprintLocked(const Query& query) const;
-  std::vector<double> Features(const Query& query) const;
-  bool VacuousPredicate(const Predicate& p) const;
   void EvictSubspacesLocked();
 
   FeedbackOptions options_;

@@ -70,9 +70,11 @@ std::vector<std::string> ModelManager::DatasetNames() const {
 }
 
 std::shared_ptr<const Table> ModelManager::TableSnapshot(
-    const std::string& dataset) const {
+    const std::string& dataset, uint64_t* version) const {
   std::lock_guard<std::mutex> lock(data_mutex_);
   auto it = datasets_.find(dataset);
+  if (version != nullptr)
+    *version = it == datasets_.end() ? 0 : it->second.version;
   return it == datasets_.end() ? nullptr : it->second.table;
 }
 

@@ -131,7 +131,10 @@ class ModelManager {
 
   bool HasDataset(const std::string& name) const;
   std::vector<std::string> DatasetNames() const;
-  std::shared_ptr<const Table> TableSnapshot(const std::string& dataset) const;
+  // The dataset's current table (nullptr when unknown) and, when `version`
+  // is given, its data version, read as one consistent pair.
+  std::shared_ptr<const Table> TableSnapshot(const std::string& dataset,
+                                             uint64_t* version = nullptr) const;
   uint64_t DataVersion(const std::string& dataset) const;
 
   // Single-flight get-or-load-or-train. Returns nullptr (and fills *error

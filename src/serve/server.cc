@@ -83,6 +83,7 @@ EstimatorServer::~EstimatorServer() {
 
 void EstimatorServer::RegisterDataset(const std::string& name, Table table) {
   manager_.RegisterDataset(name, std::move(table));
+  if (feedback_ != nullptr) feedback_->ResetDataset(name);
 }
 
 bool EstimatorServer::RunInference(
@@ -287,10 +288,12 @@ uint64_t EstimatorServer::Update(const std::string& dataset, uint64_t seed) {
   // is part of the key.)
   cache_.InvalidatePrefix(DatasetKeyPrefix(dataset));
   // Residuals learned over the pre-update data are stale the same way the
-  // cache entries were: drop everything tagged with an older version.
-  // In-flight truth jobs that raced the bump carry the old version and are
-  // likewise discarded by the next invalidation-or-never consulted, since
-  // Correct() reads models that just lost those entries.
+  // cache entries were: drop everything tagged with an older version. This
+  // also raises the dataset's version floor, so truth jobs still in flight
+  // on the old snapshot are dropped when the worker reaches them rather
+  // than learned after the invalidation. Jobs served by the stale model
+  // until its refresh lands are labelled on the new snapshot, carry its
+  // version and still learn.
   if (feedback_ != nullptr) feedback_->InvalidateDataset(dataset, version);
   manager_.RefreshModelsAsync(dataset);
   return version;
@@ -305,8 +308,9 @@ void EstimatorServer::EnqueueFeedback(
   job.estimator = estimator;
   job.query = query;
   job.base_selectivity = base_selectivity;
-  job.snapshot = manager_.TableSnapshot(dataset);
-  job.version = model->data_version;
+  // The version of the snapshot the truth is labelled on, read with it in
+  // one step; the model may be older while its refresh is in flight.
+  job.snapshot = manager_.TableSnapshot(dataset, &job.version);
   job.from_cache_hit = from_cache_hit;
   // Self-adapting estimators take the truth directly; everything else
   // learns a hub residual that Correct() applies on the way out.
@@ -340,9 +344,8 @@ void EstimatorServer::EnqueueFeedback(
 
 void EstimatorServer::RecordLatency(const std::string& dataset,
                                     const std::string& estimator, double ms) {
-  const std::string key = dataset + "/" + estimator;
   std::lock_guard<std::mutex> lock(latency_mutex_);
-  LatencyWindow& window = latencies_[key];
+  LatencyWindow& window = latencies_[dataset][estimator];
   ++window.requests;
   if (window.values.size() < kLatencyWindowSize) {
     window.values.push_back(ms);
@@ -371,19 +374,20 @@ ServerStats EstimatorServer::Stats() const {
   stats.ml_simd = MlKernelSimdName();
   stats.ml_cpu_flags = MlCpuFeatureFlags();
   std::lock_guard<std::mutex> lock(latency_mutex_);
-  stats.latencies.reserve(latencies_.size());
-  for (const auto& [key, window] : latencies_) {
-    ModelLatencyStats entry;
-    entry.model = key;
-    entry.requests = window.requests;
-    if (!window.values.empty()) {
-      entry.p50_ms = Percentile(window.values, 50.0);
-      entry.p90_ms = Percentile(window.values, 90.0);
-      entry.p99_ms = Percentile(window.values, 99.0);
-      entry.max_ms =
-          *std::max_element(window.values.begin(), window.values.end());
+  for (const auto& [dataset, windows] : latencies_) {
+    for (const auto& [estimator, window] : windows) {
+      ModelLatencyStats entry;
+      entry.model = dataset + "/" + estimator;
+      entry.requests = window.requests;
+      if (!window.values.empty()) {
+        entry.p50_ms = Percentile(window.values, 50.0);
+        entry.p90_ms = Percentile(window.values, 90.0);
+        entry.p99_ms = Percentile(window.values, 99.0);
+        entry.max_ms =
+            *std::max_element(window.values.begin(), window.values.end());
+      }
+      stats.latencies.push_back(std::move(entry));
     }
-    stats.latencies.push_back(std::move(entry));
   }
   return stats;
 }

@@ -141,7 +141,9 @@ class EstimatorServer {
   EstimatorServer() : EstimatorServer(ServeOptionsFromEnv()) {}
   ~EstimatorServer();  // stops the maintenance worker before the manager.
 
-  // Registers a dataset snapshot at data version 0.
+  // Registers a dataset snapshot at data version 0. With the feedback loop
+  // on, residuals learned under an earlier registration of the name are
+  // forgotten.
   void RegisterDataset(const std::string& name, Table table);
 
   // Trains (or loads) the model if cold — single-flight — then serves the
@@ -236,7 +238,9 @@ class EstimatorServer {
   std::atomic<uint64_t> updates_{0};
 
   mutable std::mutex latency_mutex_;
-  std::map<std::string, LatencyWindow> latencies_;
+  // dataset -> estimator -> window: the per-request lookup builds no
+  // combined key.
+  std::map<std::string, std::map<std::string, LatencyWindow>> latencies_;
 };
 
 }  // namespace arecel::serve

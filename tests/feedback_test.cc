@@ -6,11 +6,15 @@
 // learn/estimate smoke for the TSan preset (run_sanitized_tests.sh matches
 // these suites by the "Feedback" in their names).
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "estimators/extensions/feedback.h"
 #include "feedback/hub.h"
 #include "feedback/online_model.h"
+#include "feedback/online_model_detail.h"
 #include "feedback/truth_worker.h"
 #include "serve/server.h"
 #include "workload/generator.h"
@@ -218,6 +223,42 @@ TEST(FeedbackModelTest, SerializeRoundTripIsBitExact) {
   }
 }
 
+TEST(FeedbackModelTest, SelectNearestMatchesFullSortWithTies) {
+  // The order Predict used to take from a full std::sort: nearest first,
+  // newer first on equal distances.
+  using detail::Neighbour;
+  auto full_sort_order = [](const Neighbour& a, const Neighbour& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.seq > b.seq;
+  };
+  std::mt19937_64 rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng() % 40;
+    std::vector<uint64_t> seqs(n);
+    for (size_t i = 0; i < n; ++i) seqs[i] = 1 + i * 3;
+    std::shuffle(seqs.begin(), seqs.end(), rng);
+    std::vector<Neighbour> ring;
+    for (size_t i = 0; i < n; ++i) {
+      // Three distinct distances force many exact ties.
+      const double distance = 0.05 * static_cast<double>(rng() % 3);
+      ring.push_back({distance, seqs[i], static_cast<double>(rng() % 1000)});
+    }
+    std::vector<Neighbour> sorted = ring;
+    std::sort(sorted.begin(), sorted.end(), full_sort_order);
+    for (size_t k = 1; k <= n + 1; ++k) {
+      std::vector<Neighbour> top = ring;
+      detail::SelectNearest(&top, k);
+      for (size_t i = 0; i < std::min(k, n); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(top[i].distance),
+                  std::bit_cast<uint64_t>(sorted[i].distance));
+        EXPECT_EQ(top[i].seq, sorted[i].seq);
+        EXPECT_EQ(std::bit_cast<uint64_t>(top[i].target),
+                  std::bit_cast<uint64_t>(sorted[i].target));
+      }
+    }
+  }
+}
+
 // ---------- TruthWorker ----------
 
 TEST(FeedbackTruthWorkerTest, DrainWaitsForAllJobs) {
@@ -295,6 +336,194 @@ TEST(FeedbackTruthWorkerTest, FullQueueDropsNewJobs) {
   EXPECT_EQ(worker.Stats().completed, 3u);
 }
 
+// Jobs labelled in order, with the truth each was given.
+struct Labelled {
+  std::mutex mutex;
+  std::vector<std::pair<std::shared_ptr<const Table>, Query>> jobs;
+  std::vector<double> truths;
+
+  TruthWorker::Callback Callback() {
+    return [this](const TruthJob& job, double truth) {
+      std::lock_guard<std::mutex> lock(mutex);
+      jobs.emplace_back(job.snapshot, job.query);
+      truths.push_back(truth);
+    };
+  }
+
+  // Every truth equals the one-shot engine on the job's own snapshot, bit
+  // for bit.
+  void ExpectExact() {
+    std::lock_guard<std::mutex> lock(mutex);
+    for (size_t i = 0; i < jobs.size(); ++i)
+      ASSERT_EQ(std::bit_cast<uint64_t>(truths[i]),
+                std::bit_cast<uint64_t>(
+                    ExecuteSelectivity(*jobs[i].first, jobs[i].second)))
+          << "job " << i;
+  }
+};
+
+TruthJob JobOn(const std::string& dataset,
+               std::shared_ptr<const Table> snapshot, Query query) {
+  TruthJob job;
+  job.dataset = dataset;
+  job.snapshot = std::move(snapshot);
+  job.query = std::move(query);
+  return job;
+}
+
+std::vector<Query> QueryPool(const Table& table, size_t n, uint64_t seed) {
+  return GenerateWorkload(table, n, seed).queries;
+}
+
+TEST(FeedbackTruthWorkerTest, MemoMatchesOracleAcrossSnapshotSwap) {
+  const auto v0 = std::make_shared<const Table>(SmallTable());
+  const auto v1 =
+      std::make_shared<const Table>(AppendCorrelatedUpdate(*v0, 0.25, 11));
+  const std::vector<Query> pool = QueryPool(*v0, 12, 3);
+  Labelled labelled;
+  TruthWorker worker(labelled.Callback(), /*queue_capacity=*/256);
+
+  // v0, then the swapped-in v1, then v0 again (a job that raced the
+  // update): each phase repeats the pool three times, so only the first
+  // pass of a phase may miss. A memo entry from one snapshot never answers
+  // for another.
+  constexpr int kRepeats = 3;
+  for (const auto& snapshot : {v0, v1, v0}) {
+    for (int r = 0; r < kRepeats; ++r)
+      for (const Query& q : pool)
+        ASSERT_TRUE(worker.Enqueue(JobOn("t", snapshot, q)));
+  }
+  worker.Drain();
+  labelled.ExpectExact();
+  const TruthWorkerStats stats = worker.Stats();
+  EXPECT_EQ(stats.completed, 3 * kRepeats * pool.size());
+  EXPECT_EQ(stats.memo_hits, 3 * (kRepeats - 1) * pool.size());
+  // The two snapshots disagree on these queries, so a leaked entry would
+  // have failed ExpectExact.
+  size_t differing = 0;
+  for (const Query& q : pool)
+    differing += ExecuteSelectivity(*v0, q) != ExecuteSelectivity(*v1, q);
+  EXPECT_GT(differing, pool.size() / 2);
+}
+
+TEST(FeedbackTruthWorkerTest, MemoStaysWithinItsBound) {
+  const auto table = std::make_shared<const Table>(SmallTable());
+  constexpr size_t kCap = TruthWorker::kMemoCapacity;
+  TruthWorker worker([](const TruthJob&, double) {},
+                     /*queue_capacity=*/kCap + 1);
+  auto distinct = [](size_t i) {
+    return MakeQuery({{0, 0.5 * static_cast<double>(i), 1e9}});
+  };
+  for (size_t i = 0; i < kCap; ++i)
+    ASSERT_TRUE(worker.Enqueue(JobOn("t", table, distinct(i))));
+  worker.Drain();
+  EXPECT_EQ(worker.Stats().memo_hits, 0u);
+  // A full memo still answers every entry it holds.
+  for (size_t i = 0; i < kCap; ++i)
+    ASSERT_TRUE(worker.Enqueue(JobOn("t", table, distinct(i))));
+  worker.Drain();
+  EXPECT_EQ(worker.Stats().memo_hits, kCap);
+  // One more distinct query would exceed the bound: the memo starts over,
+  // holding only the newcomer.
+  ASSERT_TRUE(worker.Enqueue(JobOn("t", table, distinct(kCap))));
+  ASSERT_TRUE(worker.Enqueue(JobOn("t", table, distinct(0))));
+  ASSERT_TRUE(worker.Enqueue(JobOn("t", table, distinct(kCap))));
+  worker.Drain();
+  EXPECT_EQ(worker.Stats().memo_hits, kCap + 1);
+}
+
+TEST(FeedbackTruthWorkerTest, AlternatingDatasetsKeepTheirSlots) {
+  const auto a = std::make_shared<const Table>(SmallTable(5));
+  const auto b = std::make_shared<const Table>(SmallTable(9));
+  const std::vector<Query> pool_a = QueryPool(*a, 10, 21);
+  const std::vector<Query> pool_b = QueryPool(*b, 10, 22);
+  Labelled labelled;
+  TruthWorker worker(labelled.Callback(), /*queue_capacity=*/256);
+
+  constexpr int kRepeats = 4;
+  for (int r = 0; r < kRepeats; ++r) {
+    for (size_t i = 0; i < pool_a.size(); ++i) {
+      ASSERT_TRUE(worker.Enqueue(JobOn("a", a, pool_a[i])));
+      ASSERT_TRUE(worker.Enqueue(JobOn("b", b, pool_b[i])));
+    }
+  }
+  worker.Drain();
+  labelled.ExpectExact();
+  // Each dataset misses once per distinct query; alternating between them
+  // rebuilds nothing and clears no memo.
+  EXPECT_EQ(worker.Stats().memo_hits,
+            (kRepeats - 1) * (pool_a.size() + pool_b.size()));
+}
+
+TEST(FeedbackTruthWorkerTest, DrainWakesWorkerAtOnce) {
+  const auto table = std::make_shared<const Table>(SmallTable());
+  TruthWorker worker([](const TruthJob&, double) {}, 64);
+  constexpr int kCycles = 100;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kCycles; ++i) {
+    ASSERT_TRUE(
+        worker.Enqueue(JobOn("t", table, MakeQuery({{0, 1.0, 5.0}}))));
+    worker.Drain();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(worker.Stats().completed, static_cast<uint64_t>(kCycles));
+  // A Drain() that waited out the batch delay would take kCycles delays.
+  EXPECT_LT(elapsed, kCycles * TruthWorker::kBatchDelay / 2);
+}
+
+TEST(FeedbackTruthWorkerTest, JobsCompleteWithoutDrain) {
+  const auto table = std::make_shared<const Table>(SmallTable());
+  TruthWorker worker([](const TruthJob&, double) {}, 64);
+  constexpr uint64_t kJobs = 5;
+  for (uint64_t i = 0; i < kJobs; ++i)
+    ASSERT_TRUE(
+        worker.Enqueue(JobOn("t", table, MakeQuery({{0, 1.0, 5.0}}))));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (worker.Stats().completed < kJobs &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(worker.Stats().completed, kJobs);
+  EXPECT_EQ(worker.Stats().pending, 0u);
+}
+
+TEST(FeedbackTruthWorkerTest, PendingCountsTakenBatch) {
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool release = false;
+  bool entered = false;
+  TruthWorker worker(
+      [&](const TruthJob&, double) {
+        std::unique_lock<std::mutex> lock(gate_mutex);
+        entered = true;
+        gate_cv.notify_all();
+        gate_cv.wait(lock, [&] { return release; });
+      },
+      /*queue_capacity=*/16);
+  const auto table = std::make_shared<const Table>(SmallTable());
+  for (int i = 0; i < 3; ++i)
+    ASSERT_TRUE(
+        worker.Enqueue(JobOn("t", table, MakeQuery({{0, 1.0, 5.0}}))));
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return entered; });
+  }
+  // However the three jobs split between the taken batch and the queue,
+  // none has completed while the first callback is held.
+  TruthWorkerStats stats = worker.Stats();
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.pending, 3u);
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    release = true;
+  }
+  gate_cv.notify_all();
+  worker.Drain();
+  stats = worker.Stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.pending, 0u);
+}
+
 TEST(FeedbackTruthWorkerTest, StopRejectsFurtherWork) {
   TruthWorker worker([](const TruthJob&, double) {}, 8);
   worker.Stop();
@@ -369,6 +598,37 @@ TEST(FeedbackHubTest, InvalidateDatasetDropsOldVersions) {
   EXPECT_EQ(hub.Correct("t", "stub", q, 0.01, table->num_rows()), 0.01);
   // Different dataset is untouched by construction (prefix walk).
   EXPECT_EQ(hub.InvalidateDataset("unrelated", 1), 0u);
+}
+
+TEST(FeedbackHubTest, TruthBelowVersionFloorIsDropped) {
+  // A job served at version 0 whose truth lands after the update to
+  // version 1 must not be learned: Correct() would consult it until the
+  // next update.
+  FeedbackHub hub;
+  const auto table = std::make_shared<const Table>(SmallTable());
+  TruthJob job;
+  job.dataset = "t";
+  job.estimator = "stub";
+  job.query = MakeQuery({{0, 1.0, 20.0}});
+  job.base_selectivity = 0.01;
+  job.snapshot = table;
+  job.version = 0;
+
+  EXPECT_EQ(hub.InvalidateDataset("t", /*min_version=*/1), 0u);
+  hub.LearnTruth(job, 0.2);
+  EXPECT_EQ(hub.Stats().models.entries, 0u);
+  EXPECT_EQ(hub.Stats().stale_jobs, 1u);
+  EXPECT_EQ(hub.Correct("t", "stub", job.query, 0.01, table->num_rows()),
+            0.01);
+
+  // Truths at the new version, and on other datasets, still learn.
+  job.version = 1;
+  hub.LearnTruth(job, 0.2);
+  job.dataset = "other";
+  job.version = 0;
+  hub.LearnTruth(job, 0.2);
+  EXPECT_EQ(hub.Stats().models.entries, 2u);
+  EXPECT_EQ(hub.Stats().stale_jobs, 1u);
 }
 
 TEST(FeedbackHubTest, CacheHitJobsAreCounted) {
@@ -498,6 +758,19 @@ TEST(FeedbackServeTest, CacheHitStillEnqueuesTruthJob) {
   EXPECT_EQ(stats.feedback.worker.completed, 2u);
 }
 
+TEST(FeedbackServeTest, RepeatedQueryIsLabelledFromMemo) {
+  serve::EstimatorServer server(FeedbackServeOptions());
+  server.RegisterDataset("t", SmallTable());
+  const Query q = MakeQuery({{0, 1.0, 9.0}});
+  for (int i = 0; i < 3; ++i)
+    ASSERT_TRUE(server.Estimate("t", "postgres", q).ok);
+  server.DrainFeedback();
+
+  const serve::ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.feedback.worker.completed, 3u);
+  EXPECT_EQ(stats.feedback.worker.memo_hits, 2u);
+}
+
 TEST(FeedbackServeTest, SinkTruthInvalidatesCachedEstimate) {
   // For a FeedbackSink the cached base estimate goes stale the moment its
   // truth is delivered (the estimator itself now answers differently), so
@@ -546,6 +819,50 @@ TEST(FeedbackServeTest, UpdateInvalidatesResiduals) {
   const serve::ServerStats stats = server.Stats();
   EXPECT_GT(stats.feedback.models.invalidated, 0u);
   server.WaitForRefreshes();
+}
+
+TEST(FeedbackServeTest, StaleModelTruthLearnsBeforeRefreshLands) {
+  serve::EstimatorServer server(FeedbackServeOptions());
+  server.RegisterDataset("t", SmallTable());
+  const Query q = MakeQuery({{0, 1.0, 9.0}});
+  ASSERT_TRUE(server.Estimate("t", "postgres", q).ok);
+  server.DrainFeedback();
+
+  // An update whose refresh has not landed, or failed: the table is at
+  // version 1 and the floor is raised, but the version-0 model still
+  // serves. Its truths are labelled on the new table and must learn.
+  const uint64_t version = server.manager().ApplyUpdate("t", 0.2, 5);
+  ASSERT_EQ(version, 1u);
+  server.feedback()->InvalidateDataset("t", version);
+  const serve::EstimateResponse stale = server.Estimate("t", "postgres", q);
+  ASSERT_TRUE(stale.ok);
+  EXPECT_EQ(stale.data_version, 0u);
+  server.DrainFeedback();
+
+  const feedback::FeedbackHubStats stats = server.Stats().feedback;
+  EXPECT_EQ(stats.stale_jobs, 0u);
+  EXPECT_EQ(stats.models.entries, 1u);
+}
+
+TEST(FeedbackServeTest, ReRegisteredDatasetLearnsAgain) {
+  serve::EstimatorServer server(FeedbackServeOptions());
+  server.RegisterDataset("t", SmallTable());
+  const Query q = MakeQuery({{0, 1.0, 9.0}});
+  ASSERT_TRUE(server.Estimate("t", "postgres", q).ok);
+  server.DrainFeedback();
+  server.Update("t");
+  server.WaitForRefreshes();
+
+  // Registering again restarts the dataset at version 0, below the floor
+  // the update raised; the hub starts the dataset over with it.
+  server.RegisterDataset("t", SmallTable(7));
+  EXPECT_EQ(server.Stats().feedback.models.entries, 0u);
+  ASSERT_TRUE(server.Estimate("t", "postgres", q).ok);
+  server.DrainFeedback();
+
+  const feedback::FeedbackHubStats stats = server.Stats().feedback;
+  EXPECT_EQ(stats.stale_jobs, 0u);
+  EXPECT_EQ(stats.models.entries, 1u);
 }
 
 TEST(FeedbackServeTest, DisabledLoopLeavesServingUntouched) {

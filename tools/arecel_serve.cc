@@ -12,11 +12,13 @@
 //   update                       append 20% correlated rows, invalidate the
 //                                dataset's cache entries, refresh in the
 //                                background (stale-while-revalidate)
-//   stats                        server/cache/manager counters + latencies
+//   stats                        server/cache/manager (and, with the
+//                                feedback loop on, truth-worker) counters
+//                                + latencies
 //   help, quit
 //
 // Environment: ARECEL_SERVE_CACHE_MB, ARECEL_SERVE_THREADS,
-// ARECEL_QUERY_DEADLINE (see src/serve/server.h).
+// ARECEL_QUERY_DEADLINE, ARECEL_FEEDBACK (see src/serve/server.h).
 
 #include <cstdio>
 #include <cstdlib>
@@ -126,6 +128,22 @@ void PrintStats(const arecel::serve::ServerStats& stats) {
               (unsigned long long)stats.manager.refresh_failures,
               (unsigned long long)stats.manager.single_flight_waits,
               (unsigned long long)stats.manager.evictions);
+  if (stats.feedback_enabled)
+    std::printf("feedback: enqueued=%llu completed=%llu dropped=%llu "
+                "pending=%llu cache_hit_jobs=%llu memo_hits=%llu "
+                "stale_jobs=%llu applied=%llu passthrough=%llu "
+                "subspaces=%zu entries=%zu\n",
+                (unsigned long long)stats.feedback.worker.enqueued,
+                (unsigned long long)stats.feedback.worker.completed,
+                (unsigned long long)stats.feedback.worker.dropped,
+                (unsigned long long)stats.feedback.worker.pending,
+                (unsigned long long)stats.feedback.cache_hit_jobs,
+                (unsigned long long)stats.feedback.worker.memo_hits,
+                (unsigned long long)stats.feedback.stale_jobs,
+                (unsigned long long)stats.feedback.corrections_applied,
+                (unsigned long long)stats.feedback.corrections_passthrough,
+                stats.feedback.models.subspaces,
+                stats.feedback.models.entries);
   if (stats.store_enabled)
     std::printf("store:   puts=%llu commits=%llu commit_failures=%llu "
                 "hits=%llu misses=%llu recoveries=%llu quarantined=%llu "
