@@ -37,10 +37,10 @@
 // estimate batch gated on end-to-end q-error divergence vs the fp32 fast
 // path (quantization is lossy by design, so the gate is a q-error budget,
 // not a float tolerance). The packed fp32 path runs the same FMA chains as
-// the unpacked fast kernel — bit-identical on full 16-column tiles — but
-// the unpacked kernel's final sub-8-column scalar tail rounds mul+add
-// where the packed lane fuses, so packed-vs-fast is gated with the same
-// float tolerance class as reference-vs-fast.
+// the unpacked fast kernel and matches it bit for bit on the AVX2/AVX-512
+// tiers (tests/ml_packed_test.cc); the portable tier's compiler-vectorized
+// loops promise only float rounding, so packed-vs-fast is gated with the
+// same float tolerance class as reference-vs-fast.
 
 #include <algorithm>
 #include <cmath>
@@ -180,13 +180,14 @@ MicroCell MeasureMicroCell(const char* op, size_t m, size_t k, size_t n) {
 // One DenseForward shape measured across the three serving tiers: the fast
 // fp32 kernel over row-major weights, the packed-B fp32 kernel, and the int8
 // quant kernel (ml/packed.h). The packed fp32 tier runs the same per-column
-// FMA chains in k order as the unpacked fast tier — bit-identical wherever
-// the unpacked kernel vectorizes — but the unpacked kernel's sub-8-column
-// scalar tail rounds mul+add where the packed lane fuses, so the gate is
-// kMicroTolerance (the reference-vs-fast rounding class), not equality. The
-// quant tier is lossy by construction; the grid reports its max abs output
-// error for visibility, and the end-to-end acceptance gate lives in the naru
-// q-error section below.
+// FMA chains in k order as the unpacked fast tier, bit-identical on the SIMD
+// tiers; the portable tier promises only float rounding, so the gate is
+// kMicroTolerance (the reference-vs-fast rounding class), not equality.
+// The quant tier is lossy by construction; the grid reports its max abs
+// output error for visibility, and the end-to-end acceptance gate lives in
+// the naru q-error section below. The grid runs even with
+// ARECEL_ML_BENCH_MICRO=0, and its larger cells cross the parallel
+// threshold, so it also covers the row-parallel quant forward.
 struct PackedCell {
   size_t m = 0, k = 0, n = 0;
   double fast_seconds = 0.0;    // unpacked fast DenseForward.
@@ -564,8 +565,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- packed / quant dense-forward grid ----------------------------------
+  // Runs even when the matmul grid is skipped: its 256^3 and 128x64x1024
+  // cells cross the parallel threshold, so this is the smoke run's only
+  // pass through the row-parallel quant forward.
   std::vector<PackedCell> packed_grid;
-  if (run_micro) {
+  {
     std::printf("%-12s %5s %5s %5s %10s %10s %10s %8s %8s %10s %10s\n",
                 "packed", "m", "k", "n", "fast_s", "packed_s", "quant_s",
                 "pspeed", "qspeed", "packed_err", "quant_err");

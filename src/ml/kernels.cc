@@ -592,17 +592,21 @@ void PackedForwardImpl(const Matrix& input, const PackedDenseWeights& packed,
     const QuantizedDense& q = packed.q8;
     // Serving calls this per layer per batch; thread_local scratch keeps the
     // activation-quantization buffers warm instead of reallocating each call.
-    // Workers inside RunRows only read these, so sharing the caller's
-    // buffers across the chunked dispatch is safe.
+    // The names resolve per thread, so a RunRows worker naming them would
+    // see its own empty vectors: the lambda takes the caller's buffers by
+    // pointer instead, and the workers only read them.
     thread_local std::vector<uint8_t> aq;
     thread_local std::vector<float> a_scales;
     thread_local std::vector<int32_t> a_zps;
     QuantizeActivations(input, q.padded_rows(), &aq, &a_scales, &a_zps);
+    const uint8_t* aq_data = aq.data();
+    const float* scales_data = a_scales.data();
+    const int32_t* zps_data = a_zps.data();
     RunRows(m, k, cols, [&](size_t lo, size_t hi) {
-      ops.quant_dense_rows(aq.data(), q.padded_rows(), a_scales.data(),
-                           a_zps.data(), q.data(), q.padded_rows(),
-                           q.padded_cols(), q.scales(), q.col_sums(), bias,
-                           relu, out->data(), cols, lo, hi, col_begin, cols);
+      ops.quant_dense_rows(aq_data, q.padded_rows(), scales_data, zps_data,
+                           q.data(), q.padded_rows(), q.padded_cols(),
+                           q.scales(), q.col_sums(), bias, relu, out->data(),
+                           cols, lo, hi, col_begin, cols);
     });
     return;
   }

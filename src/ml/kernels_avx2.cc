@@ -1,4 +1,4 @@
-// AVX2 + FMA instantiation of the fast ML kernel table (ml/kernels_simd.h).
+// AVX2 + FMA tier of the fast ML kernel table (ml/kernels_simd.h).
 //
 // This translation unit is compiled with -mavx2 -mfma (src/CMakeLists.txt)
 // while the rest of the build stays at the portable baseline ISA; the
@@ -7,18 +7,18 @@
 // toolchain cannot target AVX2 at all, Avx2KernelOps() compiles to a
 // nullptr stub and the portable table is used unconditionally.
 //
-// Kernel shape notes (register blocking IS the cache blocking here):
-//  * dense_rows uses a 4x16 register tile (4 output rows x two 8-float
-//    accumulator vectors). Each loaded strip of b feeds four output rows,
-//    cutting b traffic 4x versus the scalar i-k-j loop; accumulators live
-//    in registers for the whole k loop, so out is written exactly once.
+// The tiles, the int8 epilogue, the activation quantizer and the row-block
+// driver come from ml/kernels_tiles.h over the 8-float trait below (a
+// 16-column tile is two ymm vectors). That header's code has internal
+// linkage, so these -mavx2 copies never merge with the AVX-512 TU's (a weak
+// symbol could resolve to the AVX-512 copy here). What stays here is
+// AVX2-only, and the AVX-512 tier runs it too:
 //  * dot_rows processes four b rows per a-row pass with independent
-//    accumulators, then reduces them with a hadd tree.
+//    accumulators, then reduces them with a hadd tree;
 //  * accum_outer streams fused multiply-adds over 16-column strips of the
 //    accumulation target.
-// Tails (columns % 8, rows % 4) fall back to narrower vectors and then
-// scalars; every path is branch-free over values (no zero-skip — that
-// branch is the reference backend's documented pessimization).
+// No path branches on values (no zero-skip — that branch is the reference
+// backend's documented pessimization).
 
 #include "ml/kernels_simd.h"
 
@@ -26,11 +26,7 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-
-#include "ml/packed.h"
+#include "ml/kernels_tiles.h"
 
 namespace arecel {
 namespace mlk {
@@ -45,123 +41,64 @@ inline float HSum(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-// 4 rows x 16 cols micro-kernel: out rows i..i+3, cols j..j+15.
-inline void DenseTile4x16(const float* a, size_t lda, const float* b,
-                          size_t ldb, const float* bias, bool relu,
-                          float* out, size_t ldo, size_t i, size_t j,
-                          size_t k) {
-  __m256 acc00, acc01, acc10, acc11, acc20, acc21, acc30, acc31;
-  if (bias != nullptr) {
-    const __m256 bias0 = _mm256_loadu_ps(bias + j);
-    const __m256 bias1 = _mm256_loadu_ps(bias + j + 8);
-    acc00 = bias0; acc01 = bias1;
-    acc10 = bias0; acc11 = bias1;
-    acc20 = bias0; acc21 = bias1;
-    acc30 = bias0; acc31 = bias1;
-  } else {
-    acc00 = acc01 = acc10 = acc11 = _mm256_setzero_ps();
-    acc20 = acc21 = acc30 = acc31 = _mm256_setzero_ps();
-  }
-  const float* a0 = a + i * lda;
-  const float* a1 = a0 + lda;
-  const float* a2 = a1 + lda;
-  const float* a3 = a2 + lda;
-  for (size_t kk = 0; kk < k; ++kk) {
-    const float* b_row = b + kk * ldb + j;
-    const __m256 b0 = _mm256_loadu_ps(b_row);
-    const __m256 b1 = _mm256_loadu_ps(b_row + 8);
-    __m256 av;
-    av = _mm256_set1_ps(a0[kk]);
-    acc00 = _mm256_fmadd_ps(av, b0, acc00);
-    acc01 = _mm256_fmadd_ps(av, b1, acc01);
-    av = _mm256_set1_ps(a1[kk]);
-    acc10 = _mm256_fmadd_ps(av, b0, acc10);
-    acc11 = _mm256_fmadd_ps(av, b1, acc11);
-    av = _mm256_set1_ps(a2[kk]);
-    acc20 = _mm256_fmadd_ps(av, b0, acc20);
-    acc21 = _mm256_fmadd_ps(av, b1, acc21);
-    av = _mm256_set1_ps(a3[kk]);
-    acc30 = _mm256_fmadd_ps(av, b0, acc30);
-    acc31 = _mm256_fmadd_ps(av, b1, acc31);
-  }
-  if (relu) {
-    const __m256 zero = _mm256_setzero_ps();
-    acc00 = _mm256_max_ps(acc00, zero); acc01 = _mm256_max_ps(acc01, zero);
-    acc10 = _mm256_max_ps(acc10, zero); acc11 = _mm256_max_ps(acc11, zero);
-    acc20 = _mm256_max_ps(acc20, zero); acc21 = _mm256_max_ps(acc21, zero);
-    acc30 = _mm256_max_ps(acc30, zero); acc31 = _mm256_max_ps(acc31, zero);
-  }
-  float* o0 = out + i * ldo + j;
-  float* o1 = o0 + ldo;
-  float* o2 = o1 + ldo;
-  float* o3 = o2 + ldo;
-  _mm256_storeu_ps(o0, acc00); _mm256_storeu_ps(o0 + 8, acc01);
-  _mm256_storeu_ps(o1, acc10); _mm256_storeu_ps(o1 + 8, acc11);
-  _mm256_storeu_ps(o2, acc20); _mm256_storeu_ps(o2 + 8, acc21);
-  _mm256_storeu_ps(o3, acc30); _mm256_storeu_ps(o3 + 8, acc31);
-}
+// The vector trait of ml/kernels_tiles.h: 8 floats / 8 int32 per vector.
+struct Avx2Vec {
+  using F = __m256;
+  using I = __m256i;
+  static constexpr size_t kWidth = 8;
 
-// `rows` (1..4) x 8 cols tile at (i, j).
-inline void DenseTileRx8(const float* a, size_t lda, const float* b,
-                         size_t ldb, const float* bias, bool relu, float* out,
-                         size_t ldo, size_t i, size_t j, size_t k,
-                         size_t rows) {
-  __m256 acc[4];
-  const __m256 init =
-      bias != nullptr ? _mm256_loadu_ps(bias + j) : _mm256_setzero_ps();
-  for (size_t r = 0; r < rows; ++r) acc[r] = init;
-  for (size_t kk = 0; kk < k; ++kk) {
-    const __m256 bv = _mm256_loadu_ps(b + kk * ldb + j);
-    for (size_t r = 0; r < rows; ++r) {
-      const __m256 av = _mm256_set1_ps(a[(i + r) * lda + kk]);
-      acc[r] = _mm256_fmadd_ps(av, bv, acc[r]);
-    }
+  static F Zero() { return _mm256_setzero_ps(); }
+  static F Set1(float x) { return _mm256_set1_ps(x); }
+  static F Load(const float* p) { return _mm256_loadu_ps(p); }
+  static F LoadPartial(const float* p, size_t count) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    return _mm256_maskload_ps(
+        p, _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                              lane));
   }
-  const __m256 zero = _mm256_setzero_ps();
-  for (size_t r = 0; r < rows; ++r) {
-    if (relu) acc[r] = _mm256_max_ps(acc[r], zero);
-    _mm256_storeu_ps(out + (i + r) * ldo + j, acc[r]);
+  static void Store(float* p, F v) { _mm256_storeu_ps(p, v); }
+  static F Add(F a, F b) { return _mm256_add_ps(a, b); }
+  static F Mul(F a, F b) { return _mm256_mul_ps(a, b); }
+  static F Min(F a, F b) { return _mm256_min_ps(a, b); }
+  static F Max(F a, F b) { return _mm256_max_ps(a, b); }
+  static F Fmadd(F a, F b, F c) { return _mm256_fmadd_ps(a, b, c); }
+  static float ReduceMin(F v) {
+    __m128 m = _mm_min_ps(_mm256_castps256_ps128(v),
+                          _mm256_extractf128_ps(v, 1));
+    m = _mm_min_ps(m, _mm_movehl_ps(m, m));
+    return _mm_cvtss_f32(_mm_min_ss(m, _mm_shuffle_ps(m, m, 1)));
   }
-}
+  static float ReduceMax(F v) {
+    __m128 m = _mm_max_ps(_mm256_castps256_ps128(v),
+                          _mm256_extractf128_ps(v, 1));
+    m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+    return _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 1)));
+  }
 
-// Scalar column tail (n - j < 8) for `rows` rows at (i, j).
-inline void DenseTailScalar(const float* a, size_t lda, const float* b,
-                            size_t ldb, const float* bias, bool relu,
-                            float* out, size_t ldo, size_t i, size_t j,
-                            size_t k, size_t n, size_t rows) {
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t jj = j; jj < n; ++jj) {
-      float acc = bias != nullptr ? bias[jj] : 0.0f;
-      for (size_t kk = 0; kk < k; ++kk)
-        acc += a[(i + r) * lda + kk] * b[kk * ldb + jj];
-      if (relu && acc < 0.0f) acc = 0.0f;
-      out[(i + r) * ldo + jj] = acc;
-    }
+  static I Set1I(int32_t x) { return _mm256_set1_epi32(x); }
+  static I LoadI(const void* p) {
+    return _mm256_loadu_si256(static_cast<const __m256i*>(p));
   }
-}
-
-void DenseRowsAvx2(const float* a, size_t lda, const float* b, size_t ldb,
-                   const float* bias, bool relu, float* out, size_t ldo,
-                   size_t i_lo, size_t i_hi, size_t k, size_t n) {
-  size_t i = i_lo;
-  for (; i + 4 <= i_hi; i += 4) {
-    size_t j = 0;
-    for (; j + 16 <= n; j += 16)
-      DenseTile4x16(a, lda, b, ldb, bias, relu, out, ldo, i, j, k);
-    for (; j + 8 <= n; j += 8)
-      DenseTileRx8(a, lda, b, ldb, bias, relu, out, ldo, i, j, k, 4);
-    if (j < n)
-      DenseTailScalar(a, lda, b, ldb, bias, relu, out, ldo, i, j, k, n, 4);
+  static void StoreI(void* p, I v) {
+    _mm256_storeu_si256(static_cast<__m256i*>(p), v);
   }
-  const size_t rows = i_hi - i;
-  if (rows > 0) {
-    size_t j = 0;
-    for (; j + 8 <= n; j += 8)
-      DenseTileRx8(a, lda, b, ldb, bias, relu, out, ldo, i, j, k, rows);
-    if (j < n)
-      DenseTailScalar(a, lda, b, ldb, bias, relu, out, ldo, i, j, k, n, rows);
+  static I SubI(I a, I b) { return _mm256_sub_epi32(a, b); }
+  static I MulloI(I a, I b) { return _mm256_mullo_epi32(a, b); }
+  static F ToFloat(I v) { return _mm256_cvtepi32_ps(v); }
+  static I Truncate(F v) { return _mm256_cvttps_epi32(v); }
+  // u8*s8 pair sums cannot saturate maddubs' int16: activations are 7-bit.
+  static I DotU8S8(I acc, I a, I b) {
+    return _mm256_add_epi32(
+        acc, _mm256_madd_epi16(_mm256_maddubs_epi16(a, b),
+                               _mm256_set1_epi16(1)));
   }
-}
+  static void StoreCodes(uint8_t* dst, I codes) {
+    const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(codes),
+                                        _mm256_extracti128_si256(codes, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst),
+                     _mm_packus_epi16(p16, p16));
+  }
+};
 
 void DotRowsAvx2(const float* a, size_t lda, const float* b, size_t ldb,
                  float* out, size_t ldo, size_t i_lo, size_t i_hi, size_t k,
@@ -251,342 +188,13 @@ void AccumOuterAvx2(const float* a, size_t lda, const float* b, size_t ldb,
   }
 }
 
-// Builds the two bias vectors for packed tile `jbase` without reading past
-// the unpadded bias length n.
-inline void PackedBiasVecs(const float* bias, size_t jbase, size_t n,
-                           __m256* bias0, __m256* bias1) {
-  if (bias == nullptr) {
-    *bias0 = *bias1 = _mm256_setzero_ps();
-  } else if (jbase + kPackTileCols <= n) {
-    *bias0 = _mm256_loadu_ps(bias + jbase);
-    *bias1 = _mm256_loadu_ps(bias + jbase + 8);
-  } else {
-    alignas(32) float tmp[kPackTileCols] = {0};
-    for (size_t c = 0; jbase + c < n; ++c) tmp[c] = bias[jbase + c];
-    *bias0 = _mm256_load_ps(tmp);
-    *bias1 = _mm256_load_ps(tmp + 8);
-  }
-}
-
-// One packed tile for R output rows starting at row i. The full 16-wide
-// accumulators are computed even when the column window only covers part of
-// the tile (edge tiles); the store path copies just the covered columns.
-template <size_t R>
-inline void PackedTileAvx2(const float* a, size_t lda, const float* tp,
-                           size_t k, __m256 bias0, __m256 bias1, bool relu,
-                           float* out, size_t ldo, size_t i, size_t jbase,
-                           size_t col_begin, size_t col_end) {
-  __m256 acc0[R], acc1[R];
-  const float* a_rows[R];
-  for (size_t r = 0; r < R; ++r) {
-    acc0[r] = bias0;
-    acc1[r] = bias1;
-    a_rows[r] = a + (i + r) * lda;
-  }
-  for (size_t kk = 0; kk < k; ++kk) {
-    const float* b_row = tp + kk * kPackTileCols;
-    const __m256 b0 = _mm256_loadu_ps(b_row);
-    const __m256 b1 = _mm256_loadu_ps(b_row + 8);
-    for (size_t r = 0; r < R; ++r) {
-      const __m256 av = _mm256_set1_ps(a_rows[r][kk]);
-      acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
-      acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
-    }
-  }
-  if (relu) {
-    const __m256 zero = _mm256_setzero_ps();
-    for (size_t r = 0; r < R; ++r) {
-      acc0[r] = _mm256_max_ps(acc0[r], zero);
-      acc1[r] = _mm256_max_ps(acc1[r], zero);
-    }
-  }
-  if (jbase >= col_begin && jbase + kPackTileCols <= col_end) {
-    for (size_t r = 0; r < R; ++r) {
-      float* o = out + (i + r) * ldo + (jbase - col_begin);
-      _mm256_storeu_ps(o, acc0[r]);
-      _mm256_storeu_ps(o + 8, acc1[r]);
-    }
-  } else {
-    // Edge tile: spill to a temp and copy the covered columns only. Writing
-    // through a masked/offset vector store could touch bytes before out.
-    const size_t c_lo = jbase < col_begin ? col_begin - jbase : 0;
-    const size_t c_hi =
-        col_end - jbase < kPackTileCols ? col_end - jbase : kPackTileCols;
-    alignas(32) float tmp[kPackTileCols];
-    for (size_t r = 0; r < R; ++r) {
-      _mm256_store_ps(tmp, acc0[r]);
-      _mm256_store_ps(tmp + 8, acc1[r]);
-      float* o = out + (i + r) * ldo;
-      for (size_t c = c_lo; c < c_hi; ++c) o[jbase + c - col_begin] = tmp[c];
-    }
-  }
-}
-
-void PackedDenseRowsAvx2(const float* a, size_t lda, const float* bp,
-                         size_t k, size_t n, const float* bias, bool relu,
-                         float* out, size_t ldo, size_t i_lo, size_t i_hi,
-                         size_t col_begin, size_t cols) {
-  const size_t col_end = col_begin + cols;
-  const size_t t0 = col_begin / kPackTileCols;
-  size_t i = i_lo;
-  while (i < i_hi) {
-    const size_t rows = i + 4 <= i_hi ? 4 : i_hi - i;
-    for (size_t t = t0; t * kPackTileCols < col_end; ++t) {
-      const size_t jbase = t * kPackTileCols;
-      const float* tp = bp + jbase * k;
-      __m256 bias0, bias1;
-      PackedBiasVecs(bias, jbase, n, &bias0, &bias1);
-      switch (rows) {
-        case 4:
-          PackedTileAvx2<4>(a, lda, tp, k, bias0, bias1, relu, out, ldo, i,
-                            jbase, col_begin, col_end);
-          break;
-        case 3:
-          PackedTileAvx2<3>(a, lda, tp, k, bias0, bias1, relu, out, ldo, i,
-                            jbase, col_begin, col_end);
-          break;
-        case 2:
-          PackedTileAvx2<2>(a, lda, tp, k, bias0, bias1, relu, out, ldo, i,
-                            jbase, col_begin, col_end);
-          break;
-        default:
-          PackedTileAvx2<1>(a, lda, tp, k, bias0, bias1, relu, out, ldo, i,
-                            jbase, col_begin, col_end);
-          break;
-      }
-    }
-    i += rows;
-  }
-}
-
-// R rows x one 16-column tile of the int8 kernel. A 64-byte packed group is
-// 16 columns x 4 k bytes; each 32-byte half maddubs/madd-reduces to eight
-// per-column int32 partials (acc_lo covers jbase..jbase+7, acc_hi the
-// rest), and the R rows share each group load. The dequant epilogue is
-// vectorized but keeps QuantEpilogue's exact float sequence per lane, so
-// quant outputs stay bit-identical to the portable tier's scalar epilogue;
-// edge tiles fall back to that scalar epilogue directly.
-template <size_t R>
-inline void QuantTileAvx2(const uint8_t* aq, size_t lda_q, const int8_t* tp,
-                          size_t k_pad, const float* a_scales,
-                          const int32_t* a_zps, const float* w_scales,
-                          const int32_t* w_col_sums, const float* bias,
-                          bool relu, float* out, size_t ldo, size_t i,
-                          size_t jbase, size_t col_begin, size_t col_end) {
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  __m256i acc_lo[R], acc_hi[R];
-  const uint8_t* a_rows[R];
-  for (size_t r = 0; r < R; ++r) {
-    acc_lo[r] = _mm256_setzero_si256();
-    acc_hi[r] = _mm256_setzero_si256();
-    a_rows[r] = aq + (i + r) * lda_q;
-  }
-  for (size_t kg = 0; kg < k_pad; kg += kQuantKGroup) {
-    const int8_t* group = tp + kg * kPackTileCols;
-    const __m256i b_lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(group));
-    const __m256i b_hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(group + 32));
-    for (size_t r = 0; r < R; ++r) {
-      int32_t a4;
-      std::memcpy(&a4, a_rows[r] + kg, sizeof(a4));
-      const __m256i av = _mm256_set1_epi32(a4);
-      // u8*s8 pair-sums cannot saturate: activations are 7-bit.
-      acc_lo[r] = _mm256_add_epi32(
-          acc_lo[r],
-          _mm256_madd_epi16(_mm256_maddubs_epi16(av, b_lo), ones16));
-      acc_hi[r] = _mm256_add_epi32(
-          acc_hi[r],
-          _mm256_madd_epi16(_mm256_maddubs_epi16(av, b_hi), ones16));
-    }
-  }
-  if (jbase >= col_begin && jbase + kPackTileCols <= col_end) {
-    const __m256i sums_lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(w_col_sums + jbase));
-    const __m256i sums_hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(w_col_sums + jbase + 8));
-    const __m256 wsc_lo = _mm256_loadu_ps(w_scales + jbase);
-    const __m256 wsc_hi = _mm256_loadu_ps(w_scales + jbase + 8);
-    const __m256 bias_lo =
-        bias != nullptr ? _mm256_loadu_ps(bias + jbase) : _mm256_setzero_ps();
-    const __m256 bias_hi = bias != nullptr ? _mm256_loadu_ps(bias + jbase + 8)
-                                           : _mm256_setzero_ps();
-    const __m256 zero = _mm256_setzero_ps();
-    for (size_t r = 0; r < R; ++r) {
-      const __m256i zp = _mm256_set1_epi32(a_zps[i + r]);
-      const __m256 a_sc = _mm256_set1_ps(a_scales[i + r]);
-      const __m256i x_lo =
-          _mm256_sub_epi32(acc_lo[r], _mm256_mullo_epi32(zp, sums_lo));
-      const __m256i x_hi =
-          _mm256_sub_epi32(acc_hi[r], _mm256_mullo_epi32(zp, sums_hi));
-      __m256 prod_lo =
-          _mm256_mul_ps(_mm256_cvtepi32_ps(x_lo), _mm256_mul_ps(a_sc, wsc_lo));
-      __m256 prod_hi =
-          _mm256_mul_ps(_mm256_cvtepi32_ps(x_hi), _mm256_mul_ps(a_sc, wsc_hi));
-      // Barrier: GCC's -ffp-contract=fast fuses mul/add intrinsic pairs
-      // into FMAs, which would break bit-identity with QuantEpilogue's
-      // two-rounding sequence (kernels_simd.h).
-      asm("" : "+x"(prod_lo), "+x"(prod_hi));
-      __m256 v_lo = _mm256_add_ps(prod_lo, bias_lo);
-      __m256 v_hi = _mm256_add_ps(prod_hi, bias_hi);
-      if (relu) {
-        v_lo = _mm256_max_ps(v_lo, zero);
-        v_hi = _mm256_max_ps(v_hi, zero);
-      }
-      float* o = out + (i + r) * ldo + (jbase - col_begin);
-      _mm256_storeu_ps(o, v_lo);
-      _mm256_storeu_ps(o + 8, v_hi);
-    }
-  } else {
-    const size_t c_lo = jbase < col_begin ? col_begin - jbase : 0;
-    const size_t c_hi =
-        col_end - jbase < kPackTileCols ? col_end - jbase : kPackTileCols;
-    alignas(32) int32_t accs[kPackTileCols];
-    for (size_t r = 0; r < R; ++r) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(accs), acc_lo[r]);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(accs + 8), acc_hi[r]);
-      float* out_row = out + (i + r) * ldo;
-      for (size_t c = c_lo; c < c_hi; ++c) {
-        const size_t j = jbase + c;
-        out_row[j - col_begin] = QuantEpilogue(
-            accs[c], a_zps[i + r], w_col_sums[j], a_scales[i + r], w_scales[j],
-            bias != nullptr ? bias[j] : 0.0f, relu);
-      }
-    }
-  }
-}
-
-void QuantDenseRowsAvx2(const uint8_t* aq, size_t lda_q, const float* a_scales,
-                        const int32_t* a_zps, const int8_t* bq, size_t k_pad,
-                        size_t n_pad, const float* w_scales,
-                        const int32_t* w_col_sums, const float* bias,
-                        bool relu, float* out, size_t ldo, size_t i_lo,
-                        size_t i_hi, size_t col_begin, size_t cols) {
-  (void)n_pad;
-  const size_t col_end = col_begin + cols;
-  const size_t t0 = col_begin / kPackTileCols;
-  size_t i = i_lo;
-  while (i < i_hi) {
-    const size_t rows = i + 4 <= i_hi ? 4 : i_hi - i;
-    for (size_t t = t0; t * kPackTileCols < col_end; ++t) {
-      const size_t jbase = t * kPackTileCols;
-      const int8_t* tp = bq + jbase * k_pad;
-      switch (rows) {
-        case 4:
-          QuantTileAvx2<4>(aq, lda_q, tp, k_pad, a_scales, a_zps, w_scales,
-                           w_col_sums, bias, relu, out, ldo, i, jbase,
-                           col_begin, col_end);
-          break;
-        case 3:
-          QuantTileAvx2<3>(aq, lda_q, tp, k_pad, a_scales, a_zps, w_scales,
-                           w_col_sums, bias, relu, out, ldo, i, jbase,
-                           col_begin, col_end);
-          break;
-        case 2:
-          QuantTileAvx2<2>(aq, lda_q, tp, k_pad, a_scales, a_zps, w_scales,
-                           w_col_sums, bias, relu, out, ldo, i, jbase,
-                           col_begin, col_end);
-          break;
-        default:
-          QuantTileAvx2<1>(aq, lda_q, tp, k_pad, a_scales, a_zps, w_scales,
-                           w_col_sums, bias, relu, out, ldo, i, jbase,
-                           col_begin, col_end);
-          break;
-      }
-    }
-    i += rows;
-  }
-}
-
-// 8-wide activation quantization (ml/packed.h scheme). Replicates
-// QuantizeRowsPortable's arithmetic exactly: every element goes through the
-// same mul / add / max / min / cvtt sequence (mul and add kept as two
-// separately-rounded operations — a register barrier stops GCC from
-// contracting the intrinsic pair into a vfmadd — because the portable
-// loop's two roundings define the contract), and short tails run through a
-// zero-padded full
-// vector instead of a scalar loop, so no element ever takes a different
-// code path. Zero padding is harmless in the range pass because the range
-// includes 0 by construction. The lane reductions for min/max are exactly
-// associative over finite activations, so the per-row scale and zero point
-// also match the portable tier bit for bit.
-void QuantizeRowsAvx2(const float* a, size_t lda, size_t k, uint8_t* aq,
-                      size_t lda_q, float* a_scales, int32_t* a_zps,
-                      size_t i_lo, size_t i_hi) {
-  const __m256 vzero = _mm256_setzero_ps();
-  const __m256 vcap = _mm256_set1_ps(127.5f);
-  const size_t kv = k & ~static_cast<size_t>(7);
-  for (size_t i = i_lo; i < i_hi; ++i) {
-    const float* row = a + i * lda;
-    uint8_t* dst = aq + i * lda_q;
-    alignas(32) float tailbuf[8] = {0};
-    if (kv < k) std::memcpy(tailbuf, row + kv, (k - kv) * sizeof(float));
-    __m256 vmin = vzero, vmax = vzero;
-    for (size_t kk = 0; kk < kv; kk += 8) {
-      const __m256 v = _mm256_loadu_ps(row + kk);
-      vmin = _mm256_min_ps(vmin, v);
-      vmax = _mm256_max_ps(vmax, v);
-    }
-    if (kv < k) {
-      const __m256 v = _mm256_load_ps(tailbuf);
-      vmin = _mm256_min_ps(vmin, v);
-      vmax = _mm256_max_ps(vmax, v);
-    }
-    __m128 m4 = _mm_min_ps(_mm256_castps256_ps128(vmin),
-                           _mm256_extractf128_ps(vmin, 1));
-    m4 = _mm_min_ps(m4, _mm_movehl_ps(m4, m4));
-    m4 = _mm_min_ss(m4, _mm_shuffle_ps(m4, m4, 1));
-    const float min_v = _mm_cvtss_f32(m4);
-    __m128 x4 = _mm_max_ps(_mm256_castps256_ps128(vmax),
-                           _mm256_extractf128_ps(vmax, 1));
-    x4 = _mm_max_ps(x4, _mm_movehl_ps(x4, x4));
-    x4 = _mm_max_ss(x4, _mm_shuffle_ps(x4, x4, 1));
-    const float max_v = _mm_cvtss_f32(x4);
-    const float range = max_v - min_v;
-    const float scale = range > 0.0f ? range / 127.0f : 1.0f;
-    const int32_t zp = static_cast<int32_t>(
-        std::clamp<long>(std::lrintf(-min_v / scale), 0, 127));
-    a_scales[i] = scale;
-    a_zps[i] = zp;
-    const __m256 vinv = _mm256_set1_ps(1.0f / scale);
-    const __m256 vzp = _mm256_set1_ps(static_cast<float>(zp) + 0.5f);
-    for (size_t kk = 0; kk < kv; kk += 8) {
-      __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(row + kk), vinv);
-      // Barrier: keep mul and add separately rounded (no FMA contraction),
-      // matching QuantizeRowsPortable's -ffp-contract=off arithmetic.
-      asm("" : "+x"(prod));
-      __m256 q = _mm256_add_ps(prod, vzp);
-      q = _mm256_min_ps(_mm256_max_ps(q, vzero), vcap);
-      const __m256i qi = _mm256_cvttps_epi32(q);
-      const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(qi),
-                                          _mm256_extracti128_si256(qi, 1));
-      const __m128i p8 = _mm_packus_epi16(p16, p16);
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + kk), p8);
-    }
-    if (kv < k) {
-      __m256 prod = _mm256_mul_ps(_mm256_load_ps(tailbuf), vinv);
-      asm("" : "+x"(prod));
-      __m256 q = _mm256_add_ps(prod, vzp);
-      q = _mm256_min_ps(_mm256_max_ps(q, vzero), vcap);
-      const __m256i qi = _mm256_cvttps_epi32(q);
-      const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(qi),
-                                          _mm256_extracti128_si256(qi, 1));
-      const __m128i p8 = _mm_packus_epi16(p16, p16);
-      alignas(16) uint8_t tmp[16];
-      _mm_store_si128(reinterpret_cast<__m128i*>(tmp), p8);
-      std::memcpy(dst + kv, tmp, k - kv);
-    }
-    for (size_t kk = k; kk < lda_q; ++kk) dst[kk] = 0;
-  }
-}
-
 constexpr KernelOps kAvx2Ops = {
-    DenseRowsAvx2,
+    DenseRows<Avx2Vec>,
     DotRowsAvx2,
     AccumOuterAvx2,
-    PackedDenseRowsAvx2,
-    QuantDenseRowsAvx2,
-    QuantizeRowsAvx2,
+    PackedDenseRows<Avx2Vec>,
+    QuantDenseRows<Avx2Vec>,
+    QuantizeRows<Avx2Vec>,
     "avx2-fma",
 };
 

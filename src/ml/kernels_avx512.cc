@@ -1,26 +1,23 @@
-// AVX-512 (F + BW) instantiation of the fast ML kernel table
-// (ml/kernels_simd.h), compiled with -mavx512f -mavx512bw
-// (src/CMakeLists.txt) and selected at runtime only after a CPUID check for
-// both features, so the binary stays runnable on AVX2-only hardware.
+// AVX-512 (F + BW) tier of the fast ML kernel table (ml/kernels_simd.h),
+// compiled with -mavx512f -mavx512bw (src/CMakeLists.txt) and selected at
+// runtime only after a CPUID check for both features, so the binary stays
+// runnable on AVX2-only hardware.
 //
-// Numeric contract (see kernels_simd.h): this tier must be bit-identical to
-// the AVX2 tier so that runtime ISA dispatch never perturbs the fast
-// backend's numerics (goldens and the serve-path "bit-identical to direct
-// inference" guarantees are frozen against it). The kernels here achieve
-// that two ways:
-//  * dense_rows / packed_dense_rows keep one FMA chain per output column in
-//    k order — lane-independent arithmetic, so widening the vectors from
-//    8 to 16 lanes only regroups lanes. The sub-16-column remainder of
-//    dense_rows is delegated to the AVX2 table (same machine code, same
-//    result) rather than reimplemented.
-//  * dot_rows and accum_outer forward to the AVX2 table outright: dot_rows
+// This tier must be bit-identical to the AVX2 tier, so that runtime ISA
+// dispatch never perturbs the fast backend's numerics (goldens and the
+// serve path's "bit-identical to direct inference" guarantees):
+//  * the tiles, the int8 epilogue and the activation quantizer are the
+//    AVX2 tier's own source (ml/kernels_tiles.h) over the 16-float trait
+//    below; a 16-column tile is one zmm, and the arithmetic is lane-
+//    independent, so wider vectors only regroup lanes. That header's code
+//    has internal linkage, so these -mavx512f copies never merge with the
+//    AVX2 TU's;
+//  * dot_rows and accum_outer forward to the AVX2 table: dot_rows
 //    reduces across lanes (hadd tree), where a 512-bit rewrite would change
 //    summation order; accum_outer only serves training, which this tier
 //    does not accelerate.
-// quant_dense_rows accumulates in exact int32 and performs QuantEpilogue's
-// float sequence lane-wise, so it is bit-identical across tiers by
-// construction; it is the kernel this TU exists for (one 64-byte packed
-// group = one zmm, shared across a 4-row register block).
+// What is AVX-512 only is the VNNI accumulation of quant_dense_rows, with
+// its CPUID probe and 4-tile register block.
 
 #include "ml/kernels_simd.h"
 
@@ -28,346 +25,128 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
-#include "ml/packed.h"
+#include "ml/kernels_tiles.h"
 
 namespace arecel {
 namespace mlk {
 namespace {
 
+// The vector trait of ml/kernels_tiles.h: 16 floats / 16 int32 per vector.
+struct Avx512Vec {
+  using F = __m512;
+  using I = __m512i;
+  static constexpr size_t kWidth = 16;
+
+  static F Zero() { return _mm512_setzero_ps(); }
+  static F Set1(float x) { return _mm512_set1_ps(x); }
+  static F Load(const float* p) { return _mm512_loadu_ps(p); }
+  static F LoadPartial(const float* p, size_t count) {
+    return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << count) - 1u),
+                                 p);
+  }
+  static void Store(float* p, F v) { _mm512_storeu_ps(p, v); }
+  static F Add(F a, F b) { return _mm512_add_ps(a, b); }
+  static F Mul(F a, F b) { return _mm512_mul_ps(a, b); }
+  static F Min(F a, F b) { return _mm512_min_ps(a, b); }
+  static F Max(F a, F b) { return _mm512_max_ps(a, b); }
+  static F Fmadd(F a, F b, F c) { return _mm512_fmadd_ps(a, b, c); }
+  static float ReduceMin(F v) { return _mm512_reduce_min_ps(v); }
+  static float ReduceMax(F v) { return _mm512_reduce_max_ps(v); }
+
+  static I Set1I(int32_t x) { return _mm512_set1_epi32(x); }
+  static I LoadI(const void* p) { return _mm512_loadu_si512(p); }
+  static void StoreI(void* p, I v) { _mm512_storeu_si512(p, v); }
+  static I SubI(I a, I b) { return _mm512_sub_epi32(a, b); }
+  static I MulloI(I a, I b) { return _mm512_mullo_epi32(a, b); }
+  static F ToFloat(I v) { return _mm512_cvtepi32_ps(v); }
+  static I Truncate(F v) { return _mm512_cvttps_epi32(v); }
+  // u8*s8 pair sums cannot saturate maddubs' int16: activations are 7-bit.
+  static I DotU8S8(I acc, I a, I b) {
+    return _mm512_add_epi32(
+        acc, _mm512_madd_epi16(_mm512_maddubs_epi16(a, b),
+                               _mm512_set1_epi16(1)));
+  }
+  // Masked byte stores on xmm need AVX512VL, which this TU does not enable,
+  // so the 16 codes go out as one full 16-byte store.
+  static void StoreCodes(uint8_t* dst, I codes) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                     _mm512_cvtepi32_epi8(codes));
+  }
+};
+
 // The AVX2 table is always compiled when this TU is (-mavx512f implies
 // AVX2 support in the compiler), and any CPU passing the avx512f+bw CPUID
 // check runs AVX2 code; the portable fallback is for form only.
-inline const KernelOps& TailOps() {
+const KernelOps& Avx2Ops() {
   const KernelOps* avx2 = Avx2KernelOps();
   return avx2 != nullptr ? *avx2 : PortableKernelOps();
-}
-
-// R output rows x 16 cols at (i, j): one zmm FMA chain per row.
-template <size_t R>
-inline void DenseTileZmm(const float* a, size_t lda, const float* b,
-                         size_t ldb, __m512 biasv, bool relu, float* out,
-                         size_t ldo, size_t i, size_t j, size_t k) {
-  __m512 acc[R];
-  const float* a_rows[R];
-  for (size_t r = 0; r < R; ++r) {
-    acc[r] = biasv;
-    a_rows[r] = a + (i + r) * lda;
-  }
-  for (size_t kk = 0; kk < k; ++kk) {
-    const __m512 bv = _mm512_loadu_ps(b + kk * ldb + j);
-    for (size_t r = 0; r < R; ++r)
-      acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_rows[r][kk]), bv, acc[r]);
-  }
-  if (relu) {
-    const __m512 zero = _mm512_setzero_ps();
-    for (size_t r = 0; r < R; ++r) acc[r] = _mm512_max_ps(acc[r], zero);
-  }
-  for (size_t r = 0; r < R; ++r)
-    _mm512_storeu_ps(out + (i + r) * ldo + j, acc[r]);
-}
-
-void DenseRowsAvx512(const float* a, size_t lda, const float* b, size_t ldb,
-                     const float* bias, bool relu, float* out, size_t ldo,
-                     size_t i_lo, size_t i_hi, size_t k, size_t n) {
-  const size_t n16 = n / 16 * 16;
-  size_t i = i_lo;
-  while (i < i_hi) {
-    const size_t rows = i + 4 <= i_hi ? 4 : i_hi - i;
-    for (size_t j = 0; j < n16; j += 16) {
-      const __m512 biasv =
-          bias != nullptr ? _mm512_loadu_ps(bias + j) : _mm512_setzero_ps();
-      switch (rows) {
-        case 4:
-          DenseTileZmm<4>(a, lda, b, ldb, biasv, relu, out, ldo, i, j, k);
-          break;
-        case 3:
-          DenseTileZmm<3>(a, lda, b, ldb, biasv, relu, out, ldo, i, j, k);
-          break;
-        case 2:
-          DenseTileZmm<2>(a, lda, b, ldb, biasv, relu, out, ldo, i, j, k);
-          break;
-        default:
-          DenseTileZmm<1>(a, lda, b, ldb, biasv, relu, out, ldo, i, j, k);
-          break;
-      }
-    }
-    i += rows;
-  }
-  if (n16 < n) {
-    // Delegate the <16-column remainder to the AVX2 kernel over the column
-    // slice [n16, n): identical machine code to the avx2 tier's own tail.
-    TailOps().dense_rows(a, lda, b + n16, ldb,
-                         bias != nullptr ? bias + n16 : nullptr, relu,
-                         out + n16, ldo, i_lo, i_hi, k, n - n16);
-  }
 }
 
 void DotRowsAvx512(const float* a, size_t lda, const float* b, size_t ldb,
                    float* out, size_t ldo, size_t i_lo, size_t i_hi, size_t k,
                    size_t n) {
-  TailOps().dot_rows(a, lda, b, ldb, out, ldo, i_lo, i_hi, k, n);
+  Avx2Ops().dot_rows(a, lda, b, ldb, out, ldo, i_lo, i_hi, k, n);
 }
 
 void AccumOuterAvx512(const float* a, size_t lda, const float* b, size_t ldb,
                       float* out, size_t ldo, size_t k_lo, size_t k_hi,
                       size_t m, size_t n) {
-  TailOps().accum_outer(a, lda, b, ldb, out, ldo, k_lo, k_hi, m, n);
-}
-
-// Packed tile (16 cols = exactly one zmm) for R rows at row i.
-template <size_t R>
-inline void PackedTileAvx512(const float* a, size_t lda, const float* tp,
-                             size_t k, __m512 biasv, bool relu, float* out,
-                             size_t ldo, size_t i, size_t jbase,
-                             size_t col_begin, size_t col_end) {
-  __m512 acc[R];
-  const float* a_rows[R];
-  for (size_t r = 0; r < R; ++r) {
-    acc[r] = biasv;
-    a_rows[r] = a + (i + r) * lda;
-  }
-  for (size_t kk = 0; kk < k; ++kk) {
-    const __m512 bv = _mm512_load_ps(tp + kk * kPackTileCols);
-    for (size_t r = 0; r < R; ++r)
-      acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_rows[r][kk]), bv, acc[r]);
-  }
-  if (relu) {
-    const __m512 zero = _mm512_setzero_ps();
-    for (size_t r = 0; r < R; ++r) acc[r] = _mm512_max_ps(acc[r], zero);
-  }
-  if (jbase >= col_begin && jbase + kPackTileCols <= col_end) {
-    for (size_t r = 0; r < R; ++r)
-      _mm512_storeu_ps(out + (i + r) * ldo + (jbase - col_begin), acc[r]);
-  } else {
-    // Edge tile: spill and copy the covered columns (an offset masked store
-    // could form an out-of-range base pointer when jbase < col_begin).
-    const size_t c_lo = jbase < col_begin ? col_begin - jbase : 0;
-    const size_t c_hi =
-        col_end - jbase < kPackTileCols ? col_end - jbase : kPackTileCols;
-    alignas(64) float tmp[kPackTileCols];
-    for (size_t r = 0; r < R; ++r) {
-      _mm512_store_ps(tmp, acc[r]);
-      float* o = out + (i + r) * ldo;
-      for (size_t c = c_lo; c < c_hi; ++c) o[jbase + c - col_begin] = tmp[c];
-    }
-  }
-}
-
-void PackedDenseRowsAvx512(const float* a, size_t lda, const float* bp,
-                           size_t k, size_t n, const float* bias, bool relu,
-                           float* out, size_t ldo, size_t i_lo, size_t i_hi,
-                           size_t col_begin, size_t cols) {
-  const size_t col_end = col_begin + cols;
-  const size_t t0 = col_begin / kPackTileCols;
-  size_t i = i_lo;
-  while (i < i_hi) {
-    const size_t rows = i + 4 <= i_hi ? 4 : i_hi - i;
-    for (size_t t = t0; t * kPackTileCols < col_end; ++t) {
-      const size_t jbase = t * kPackTileCols;
-      const float* tp = bp + jbase * k;
-      __m512 biasv;
-      if (bias == nullptr) {
-        biasv = _mm512_setzero_ps();
-      } else if (jbase + kPackTileCols <= n) {
-        biasv = _mm512_loadu_ps(bias + jbase);
-      } else {
-        const __mmask16 mask =
-            static_cast<__mmask16>((1u << (n - jbase)) - 1u);
-        biasv = _mm512_maskz_loadu_ps(mask, bias + jbase);
-      }
-      switch (rows) {
-        case 4:
-          PackedTileAvx512<4>(a, lda, tp, k, biasv, relu, out, ldo, i, jbase,
-                              col_begin, col_end);
-          break;
-        case 3:
-          PackedTileAvx512<3>(a, lda, tp, k, biasv, relu, out, ldo, i, jbase,
-                              col_begin, col_end);
-          break;
-        case 2:
-          PackedTileAvx512<2>(a, lda, tp, k, biasv, relu, out, ldo, i, jbase,
-                              col_begin, col_end);
-          break;
-        default:
-          PackedTileAvx512<1>(a, lda, tp, k, biasv, relu, out, ldo, i, jbase,
-                              col_begin, col_end);
-          break;
-      }
-    }
-    i += rows;
-  }
-}
-
-// Dequant + store epilogue shared by the maddubs and VNNI accumulation
-// paths below. Vectorized but keeps QuantEpilogue's exact float sequence
-// per lane — int32 subtract (exact), one multiply by the pre-multiplied
-// scale, one add of bias — so quant outputs stay bit-identical to the
-// portable tier's scalar epilogue. Edge tiles fall back to that scalar
-// epilogue directly.
-template <size_t R>
-inline void QuantTileEpilogueAvx512(const __m512i* acc, const float* a_scales,
-                                    const int32_t* a_zps,
-                                    const float* w_scales,
-                                    const int32_t* w_col_sums,
-                                    const float* bias, bool relu, float* out,
-                                    size_t ldo, size_t i, size_t jbase,
-                                    size_t col_begin, size_t col_end) {
-  if (jbase >= col_begin && jbase + kPackTileCols <= col_end) {
-    const __m512i col_sums = _mm512_loadu_si512(
-        reinterpret_cast<const __m512i*>(w_col_sums + jbase));
-    const __m512 w_scale_v = _mm512_loadu_ps(w_scales + jbase);
-    const __m512 bias_v =
-        bias != nullptr ? _mm512_loadu_ps(bias + jbase) : _mm512_setzero_ps();
-    const __m512 zero = _mm512_setzero_ps();
-    for (size_t r = 0; r < R; ++r) {
-      const __m512i x = _mm512_sub_epi32(
-          acc[r], _mm512_mullo_epi32(_mm512_set1_epi32(a_zps[i + r]),
-                                     col_sums));
-      const __m512 scale =
-          _mm512_mul_ps(_mm512_set1_ps(a_scales[i + r]), w_scale_v);
-      __m512 prod = _mm512_mul_ps(_mm512_cvtepi32_ps(x), scale);
-      // Barrier: GCC's -ffp-contract=fast fuses mul/add intrinsic pairs
-      // into FMAs, which would break bit-identity with QuantEpilogue's
-      // two-rounding sequence (kernels_simd.h).
-      asm("" : "+v"(prod));
-      __m512 v = _mm512_add_ps(prod, bias_v);
-      if (relu) v = _mm512_max_ps(v, zero);
-      _mm512_storeu_ps(out + (i + r) * ldo + (jbase - col_begin), v);
-    }
-  } else {
-    const size_t c_lo = jbase < col_begin ? col_begin - jbase : 0;
-    const size_t c_hi =
-        col_end - jbase < kPackTileCols ? col_end - jbase : kPackTileCols;
-    alignas(64) int32_t accs[kPackTileCols];
-    for (size_t r = 0; r < R; ++r) {
-      _mm512_store_si512(accs, acc[r]);
-      float* out_row = out + (i + r) * ldo;
-      for (size_t c = c_lo; c < c_hi; ++c) {
-        const size_t j = jbase + c;
-        out_row[j - col_begin] = QuantEpilogue(
-            accs[c], a_zps[i + r], w_col_sums[j], a_scales[i + r], w_scales[j],
-            bias != nullptr ? bias[j] : 0.0f, relu);
-      }
-    }
-  }
-}
-
-// R rows x one 16-column tile of the int8 kernel. One 64-byte packed group
-// = 16 columns x 4 k bytes = exactly one zmm: maddubs then madd-by-ones
-// reduces it to sixteen per-column int32 partials in one step, and the R
-// rows share each group load (B traffic / R versus a row-at-a-time loop).
-// This form needs only F+BW; the VNNI variant below replaces the pair with
-// one dpbusd when the CPU has it.
-template <size_t R>
-inline void QuantTileAvx512(const uint8_t* aq, size_t lda_q, const int8_t* tp,
-                            size_t k_pad, const float* a_scales,
-                            const int32_t* a_zps, const float* w_scales,
-                            const int32_t* w_col_sums, const float* bias,
-                            bool relu, float* out, size_t ldo, size_t i,
-                            size_t jbase, size_t col_begin, size_t col_end) {
-  const __m512i ones16 = _mm512_set1_epi16(1);
-  __m512i acc[R];
-  const uint8_t* a_rows[R];
-  for (size_t r = 0; r < R; ++r) {
-    acc[r] = _mm512_setzero_si512();
-    a_rows[r] = aq + (i + r) * lda_q;
-  }
-  for (size_t kg = 0; kg < k_pad; kg += kQuantKGroup) {
-    const __m512i bv = _mm512_load_si512(tp + kg * kPackTileCols);
-    for (size_t r = 0; r < R; ++r) {
-      int32_t a4;
-      std::memcpy(&a4, a_rows[r] + kg, sizeof(a4));
-      // u8*s8 pair-sums cannot saturate: activations are 7-bit.
-      acc[r] = _mm512_add_epi32(
-          acc[r], _mm512_madd_epi16(
-                      _mm512_maddubs_epi16(_mm512_set1_epi32(a4), bv), ones16));
-    }
-  }
-  QuantTileEpilogueAvx512<R>(acc, a_scales, a_zps, w_scales, w_col_sums, bias,
-                             relu, out, ldo, i, jbase, col_begin, col_end);
+  Avx2Ops().accum_outer(a, lda, b, ldb, out, ldo, k_lo, k_hi, m, n);
 }
 
 // AVX512-VNNI accumulation: vpdpbusd computes the four u8*s8 products of a
 // k-group and adds them into the int32 accumulator in one instruction —
-// exactly the arithmetic of the maddubs/madd/add triple above (products are
+// exactly the arithmetic of DotU8S8's maddubs/madd/add triple (products are
 // sign-extended and summed at 32 bits, no intermediate saturation), so the
 // accumulators and therefore the outputs are bit-identical between the two
-// paths. Selected per-process via CPUID in QuantDenseRowsAvx512; the tier
-// itself still only requires F+BW.
+// forms. R rows x NT consecutive 16-column tiles share one register block:
+// blocking across tiles amortizes the per-group activation broadcast over
+// NT dpbusd issues — the broadcast chain, not the multiply, is what bounds
+// the single-tile form. Accumulation is exact int32, so the block shape
+// cannot change results.
 #pragma GCC push_options
 #pragma GCC target("avx512vnni")
-template <size_t R>
-inline void QuantTileVnniAvx512(const uint8_t* aq, size_t lda_q,
-                                const int8_t* tp, size_t k_pad,
-                                const float* a_scales, const int32_t* a_zps,
-                                const float* w_scales,
-                                const int32_t* w_col_sums, const float* bias,
-                                bool relu, float* out, size_t ldo, size_t i,
-                                size_t jbase, size_t col_begin,
-                                size_t col_end) {
-  __m512i acc[R];
+template <size_t R, size_t NT>
+void QuantBlockVnni(const uint8_t* aq, size_t lda_q, const int8_t* bq,
+                    size_t k_pad, const float* a_scales, const int32_t* a_zps,
+                    const float* w_scales, const int32_t* w_col_sums,
+                    const float* bias, bool relu, float* out, size_t ldo,
+                    size_t i, size_t jbase0, size_t col_begin,
+                    size_t col_end) {
+  __m512i acc[NT][R][kLanes<Avx512Vec>];  // one zmm per row and tile.
   const uint8_t* a_rows[R];
-  for (size_t r = 0; r < R; ++r) {
-    acc[r] = _mm512_setzero_si512();
-    a_rows[r] = aq + (i + r) * lda_q;
-  }
-  for (size_t kg = 0; kg < k_pad; kg += kQuantKGroup) {
-    const __m512i bv = _mm512_load_si512(tp + kg * kPackTileCols);
-    for (size_t r = 0; r < R; ++r) {
-      int32_t a4;
-      std::memcpy(&a4, a_rows[r] + kg, sizeof(a4));
-      acc[r] = _mm512_dpbusd_epi32(acc[r], _mm512_set1_epi32(a4), bv);
-    }
-  }
-  QuantTileEpilogueAvx512<R>(acc, a_scales, a_zps, w_scales, w_col_sums, bias,
-                             relu, out, ldo, i, jbase, col_begin, col_end);
-}
-
-// R rows x T consecutive 16-column tiles in one register block (T*R zmm
-// accumulators). Blocking across tiles amortizes the per-group activation
-// broadcast over T dpbusd issues — the broadcast chain, not the multiply,
-// is what bounds the single-tile form. Only used on spans of fully covered
-// tiles (the epilogue still handles generality, but the driver never
-// routes edges here). Accumulation is exact int32, so tiling shape cannot
-// change results.
-template <size_t R, size_t T>
-inline void QuantBlockVnniAvx512(const uint8_t* aq, size_t lda_q,
-                                 const int8_t* bq, size_t k_pad,
-                                 const float* a_scales, const int32_t* a_zps,
-                                 const float* w_scales,
-                                 const int32_t* w_col_sums, const float* bias,
-                                 bool relu, float* out, size_t ldo, size_t i,
-                                 size_t jbase0, size_t col_begin,
-                                 size_t col_end) {
-  __m512i acc[T][R];
-  const uint8_t* a_rows[R];
-  const int8_t* tps[T];
+  const int8_t* tps[NT];
+#pragma GCC unroll 4
   for (size_t r = 0; r < R; ++r) a_rows[r] = aq + (i + r) * lda_q;
-  for (size_t t = 0; t < T; ++t) {
-    tps[t] = bq + (jbase0 / kPackTileCols + t) * kPackTileCols * k_pad;
-    for (size_t r = 0; r < R; ++r) acc[t][r] = _mm512_setzero_si512();
+#pragma GCC unroll 4
+  for (size_t t = 0; t < NT; ++t) {
+    tps[t] = bq + (jbase0 + t * kPackTileCols) * k_pad;
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) acc[t][r][0] = _mm512_setzero_si512();
   }
   for (size_t kg = 0; kg < k_pad; kg += kQuantKGroup) {
-    __m512i bv[T];
-    for (size_t t = 0; t < T; ++t)
+    __m512i bv[NT];
+#pragma GCC unroll 4
+    for (size_t t = 0; t < NT; ++t)
       bv[t] = _mm512_load_si512(tps[t] + kg * kPackTileCols);
+#pragma GCC unroll 4
     for (size_t r = 0; r < R; ++r) {
       int32_t a4;
       std::memcpy(&a4, a_rows[r] + kg, sizeof(a4));
       const __m512i av = _mm512_set1_epi32(a4);
-      for (size_t t = 0; t < T; ++t)
-        acc[t][r] = _mm512_dpbusd_epi32(acc[t][r], av, bv[t]);
+#pragma GCC unroll 4
+      for (size_t t = 0; t < NT; ++t)
+        acc[t][r][0] = _mm512_dpbusd_epi32(acc[t][r][0], av, bv[t]);
     }
   }
-  for (size_t t = 0; t < T; ++t) {
-    QuantTileEpilogueAvx512<R>(acc[t], a_scales, a_zps, w_scales, w_col_sums,
-                               bias, relu, out, ldo, i,
-                               jbase0 + t * kPackTileCols, col_begin, col_end);
+  for (size_t t = 0; t < NT; ++t) {
+    QuantTileEpilogue<Avx512Vec, R>(acc[t], a_scales, a_zps, w_scales,
+                                    w_col_sums, bias, relu, out, ldo, i,
+                                    jbase0 + t * kPackTileCols, col_begin,
+                                    col_end);
   }
 }
 #pragma GCC pop_options
@@ -392,122 +171,44 @@ void QuantDenseRowsAvx512(const uint8_t* aq, size_t lda_q,
                           const float* bias, bool relu, float* out,
                           size_t ldo, size_t i_lo, size_t i_hi,
                           size_t col_begin, size_t cols) {
-  (void)n_pad;
-  using TileFn = void (*)(const uint8_t*, size_t, const int8_t*, size_t,
-                          const float*, const int32_t*, const float*,
-                          const int32_t*, const float*, bool, float*, size_t,
-                          size_t, size_t, size_t, size_t);
-  static constexpr TileFn kTiles[2][4] = {
-      {QuantTileAvx512<1>, QuantTileAvx512<2>, QuantTileAvx512<3>,
-       QuantTileAvx512<4>},
-      {QuantTileVnniAvx512<1>, QuantTileVnniAvx512<2>, QuantTileVnniAvx512<3>,
-       QuantTileVnniAvx512<4>},
-  };
-  const bool vnni = UseAvx512Vnni();
-  const TileFn* tiles = kTiles[vnni ? 1 : 0];
+  if (!UseAvx512Vnni()) {
+    QuantDenseRows<Avx512Vec>(aq, lda_q, a_scales, a_zps, bq, k_pad, n_pad,
+                              w_scales, w_col_sums, bias, relu, out, ldo,
+                              i_lo, i_hi, col_begin, cols);
+    return;
+  }
   const size_t col_end = col_begin + cols;
-  const size_t t0 = col_begin / kPackTileCols;
-  // Tile index range whose 16 columns are all inside the window — eligible
-  // for the 4-tile VNNI block.
-  const size_t t_flo = (col_begin + kPackTileCols - 1) / kPackTileCols;
-  const size_t t_fhi = col_end / kPackTileCols;
-  size_t i = i_lo;
-  while (i < i_hi) {
-    const size_t rows = i + 4 <= i_hi ? 4 : i_hi - i;
-    const TileFn tile = tiles[rows - 1];
-    size_t t = t0;
+  // Tiles whose 16 columns all lie inside the window, [t_full_lo,
+  // t_full_hi): only those take the 4-tile block.
+  const size_t t_full_lo = (col_begin + kPackTileCols - 1) / kPackTileCols;
+  const size_t t_full_hi = col_end / kPackTileCols;
+  ForEachRowBlock(i_lo, i_hi, [&]<size_t R>(RowBlock<R>, size_t i) {
+    size_t t = col_begin / kPackTileCols;
     while (t * kPackTileCols < col_end) {
-      if (vnni && rows == 4 && t >= t_flo && t + 4 <= t_fhi) {
-        QuantBlockVnniAvx512<4, 4>(aq, lda_q, bq, k_pad, a_scales, a_zps,
-                                   w_scales, w_col_sums, bias, relu, out, ldo,
-                                   i, t * kPackTileCols, col_begin, col_end);
-        t += 4;
-        continue;
+      if constexpr (R == 4) {
+        if (t >= t_full_lo && t + 4 <= t_full_hi) {
+          QuantBlockVnni<4, 4>(aq, lda_q, bq, k_pad, a_scales, a_zps,
+                               w_scales, w_col_sums, bias, relu, out, ldo, i,
+                               t * kPackTileCols, col_begin, col_end);
+          t += 4;
+          continue;
+        }
       }
-      const size_t jbase = t * kPackTileCols;
-      const int8_t* tp = bq + jbase * k_pad;
-      tile(aq, lda_q, tp, k_pad, a_scales, a_zps, w_scales, w_col_sums, bias,
-           relu, out, ldo, i, jbase, col_begin, col_end);
+      QuantBlockVnni<R, 1>(aq, lda_q, bq, k_pad, a_scales, a_zps, w_scales,
+                           w_col_sums, bias, relu, out, ldo, i,
+                           t * kPackTileCols, col_begin, col_end);
       ++t;
     }
-    i += rows;
-  }
-}
-
-// 16-wide activation quantization (ml/packed.h scheme). Same contract as
-// the AVX2 tier: the exact per-element sequence of QuantizeRowsPortable
-// (mul and add as two intrinsics — never vfmadd — then max/min/cvtt), with
-// tails handled by zero-masked loads so every element takes the vector
-// path. Zero-filled masked lanes are harmless in the range pass because
-// the range includes 0 by construction; tail code bytes spill through a
-// stack buffer (masked byte stores on xmm need AVX512VL, which this TU
-// does not enable). min/max lane reductions are exactly associative
-// over finite activations, so scales and zero points match the other
-// tiers bit for bit.
-void QuantizeRowsAvx512(const float* a, size_t lda, size_t k, uint8_t* aq,
-                        size_t lda_q, float* a_scales, int32_t* a_zps,
-                        size_t i_lo, size_t i_hi) {
-  const __m512 vzero = _mm512_setzero_ps();
-  const __m512 vcap = _mm512_set1_ps(127.5f);
-  const size_t kv = k & ~static_cast<size_t>(15);
-  const __mmask16 tail_mask =
-      static_cast<__mmask16>((1u << (k - kv)) - 1u);  // all-zero when k==kv
-  for (size_t i = i_lo; i < i_hi; ++i) {
-    const float* row = a + i * lda;
-    uint8_t* dst = aq + i * lda_q;
-    __m512 vmin = vzero, vmax = vzero;
-    for (size_t kk = 0; kk < kv; kk += 16) {
-      const __m512 v = _mm512_loadu_ps(row + kk);
-      vmin = _mm512_min_ps(vmin, v);
-      vmax = _mm512_max_ps(vmax, v);
-    }
-    if (kv < k) {
-      const __m512 v = _mm512_maskz_loadu_ps(tail_mask, row + kv);
-      vmin = _mm512_min_ps(vmin, v);
-      vmax = _mm512_max_ps(vmax, v);
-    }
-    const float min_v = _mm512_reduce_min_ps(vmin);
-    const float max_v = _mm512_reduce_max_ps(vmax);
-    const float range = max_v - min_v;
-    const float scale = range > 0.0f ? range / 127.0f : 1.0f;
-    const int32_t zp = static_cast<int32_t>(
-        std::clamp<long>(std::lrintf(-min_v / scale), 0, 127));
-    a_scales[i] = scale;
-    a_zps[i] = zp;
-    const __m512 vinv = _mm512_set1_ps(1.0f / scale);
-    const __m512 vzp = _mm512_set1_ps(static_cast<float>(zp) + 0.5f);
-    for (size_t kk = 0; kk < kv; kk += 16) {
-      __m512 prod = _mm512_mul_ps(_mm512_loadu_ps(row + kk), vinv);
-      // Barrier: keep mul and add separately rounded (no FMA contraction),
-      // matching QuantizeRowsPortable's -ffp-contract=off arithmetic.
-      asm("" : "+v"(prod));
-      __m512 q = _mm512_add_ps(prod, vzp);
-      q = _mm512_min_ps(_mm512_max_ps(q, vzero), vcap);
-      const __m128i p8 = _mm512_cvtepi32_epi8(_mm512_cvttps_epi32(q));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + kk), p8);
-    }
-    if (kv < k) {
-      __m512 prod =
-          _mm512_mul_ps(_mm512_maskz_loadu_ps(tail_mask, row + kv), vinv);
-      asm("" : "+v"(prod));
-      __m512 q = _mm512_add_ps(prod, vzp);
-      q = _mm512_min_ps(_mm512_max_ps(q, vzero), vcap);
-      const __m128i p8 = _mm512_cvtepi32_epi8(_mm512_cvttps_epi32(q));
-      alignas(16) uint8_t tmp[16];
-      _mm_store_si128(reinterpret_cast<__m128i*>(tmp), p8);
-      std::memcpy(dst + kv, tmp, k - kv);
-    }
-    for (size_t kk = k; kk < lda_q; ++kk) dst[kk] = 0;
-  }
+  });
 }
 
 constexpr KernelOps kAvx512Ops = {
-    DenseRowsAvx512,
+    DenseRows<Avx512Vec>,
     DotRowsAvx512,
     AccumOuterAvx512,
-    PackedDenseRowsAvx512,
+    PackedDenseRows<Avx512Vec>,
     QuantDenseRowsAvx512,
-    QuantizeRowsAvx512,
+    QuantizeRows<Avx512Vec>,
     "avx512",
 };
 

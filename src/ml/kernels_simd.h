@@ -21,6 +21,14 @@ namespace mlk {
 // ml/kernels.cc parallelize over disjoint chunks without the kernels
 // knowing about the thread pool.
 //
+// The two SIMD tiers share one tile source, ml/kernels_tiles.h (the fp32
+// dense and packed tiles, the int8 tile and epilogue, the activation
+// quantizer, the row-block driver), instantiated over a per-ISA vector
+// trait in each TU. Because the TUs compile with different -m flags,
+// everything that header defines has internal linkage: a weak inline
+// symbol shared by both objects could resolve to the AVX-512 copy on the
+// AVX2 path.
+//
 // Numeric contract across tiers: dense_rows, accum_outer,
 // packed_dense_rows keep one FMA chain per output element in k order —
 // lane-independent arithmetic, so the AVX2 and AVX-512 tiers produce
@@ -107,18 +115,18 @@ struct KernelOps {
 // by itself stop GCC's default -ffp-contract=fast from fusing them — it
 // contracts across statements and across _mm*_mul/add intrinsics alike —
 // so the implementations place an explicit register barrier between the
-// two operations (see below and the SIMD TUs).
+// two operations (see below and ml/kernels_tiles.h).
 inline float QuantEpilogue(int32_t acc, int32_t zp, int32_t col_sum,
                            float a_scale, float w_scale, float bias,
                            bool relu) {
   float dq = static_cast<float>(acc - zp * col_sum) * (a_scale * w_scale);
 #if defined(__FMA__) || defined(__AVX512F__)
   // GCC's default -ffp-contract=fast fuses `dq + bias` into an FMA in any
-  // TU whose ISA has one — the AVX2/AVX-512 kernel TUs' edge-tile paths
-  // inline this function under -mfma/-mavx512f — which would change the
-  // last-bit rounding versus the portable tier and break the cross-tier
-  // bit-identity contract. Forcing dq through a register makes the
-  // multiply's rounding observable, so contraction across it is illegal.
+  // TU whose ISA has one (e.g. the whole build under -march=native), which
+  // would change the last-bit rounding versus the portable tier and break
+  // the cross-tier bit-identity contract. Forcing dq through a register
+  // makes the multiply's rounding observable, so contraction across it is
+  // illegal.
   // Compiled out at the baseline ISA, where no FMA instruction exists and
   // the plain expression can auto-vectorize freely.
   asm("" : "+x"(dq));

@@ -52,6 +52,9 @@ bool ByteReader::Fail() {
 
 bool ByteReader::Raw(void* data, size_t bytes) {
   if (failed_ || position_ + bytes > buffer_.size()) return Fail();
+  // An empty container's data() may be null, and memcpy on a null
+  // destination is undefined even for zero bytes.
+  if (bytes == 0) return true;
   std::memcpy(data, buffer_.data() + position_, bytes);
   position_ += bytes;
   return true;

@@ -12,8 +12,10 @@
 
 #include "ml/packed.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,13 +25,14 @@
 #include "ml/matrix.h"
 #include "ml/nn.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace arecel {
 namespace {
 
-// Same bound as tests/ml_kernels_test.cc: packed fp32 kernels sum in a
-// different order than the unpacked ones only on sub-tile scalar tails, so
-// the divergence is float rounding, far below this.
+// Same bound as tests/ml_kernels_test.cc. The packed and unpacked fp32
+// forwards are bit-identical on the SIMD tiers (checked below); elsewhere
+// they promise only float rounding, far below this.
 constexpr float kTolerance = 1e-3f;
 
 Matrix RandomMatrix(size_t rows, size_t cols, Rng& rng) {
@@ -160,6 +163,105 @@ TEST(PackedDenseTest, ForwardMatchesUnpackedFastAcrossShapesAndIsas) {
                                         << " relu=" << relu);
         ExpectNear(unpacked, via_pack);
       }
+    }
+  }
+}
+
+// kernels_simd.h promises that the fp32 kernels (dense_rows,
+// packed_dense_rows) keep one FMA chain per column in k order, so every
+// SIMD tier matches the AVX2 tier bit for bit — vector width only regroups
+// lanes — and the packed forwards match the unpacked ones. This pins that
+// promise for the full and sliced forwards; the portable tier rounds
+// differently and is not compared.
+TEST(PackedDenseTest, Fp32SimdTiersBitIdenticalToAvx2) {
+  if (!ScopedMlKernelIsa("avx2").ok())
+    GTEST_SKIP() << "no AVX2 tier on this machine/binary";
+  ScopedMlKernelBackend scoped(MlKernelBackend::kFast);
+  Rng rng(30);
+  for (const Shape& s : kShapes) {
+    const Matrix input = RandomMatrix(s.m, s.k, rng);
+    const Matrix weights = RandomMatrix(s.k, s.n, rng);
+    const std::vector<float> bias = RandomBias(s.n, rng);
+    PackedDenseWeights packed;
+    packed.Build(weights);
+    // A window that starts off a tile boundary where the width allows it.
+    const size_t begin = s.n / 3, cols = s.n - s.n / 3;
+    // Runs every forward under one tier: dense, dense relu, dense slice,
+    // packed, packed relu, packed slice.
+    const auto run_all = [&](const char* isa) {
+      ScopedMlKernelIsa scoped_isa(isa);
+      EXPECT_TRUE(scoped_isa.ok()) << isa;
+      std::vector<Matrix> outs(6);
+      DenseForward(input, weights, bias.data(), false, &outs[0]);
+      DenseForward(input, weights, bias.data(), true, &outs[1]);
+      DenseForwardSlice(input, weights, bias.data(), begin, cols, &outs[2]);
+      PackedDenseForward(input, packed, bias.data(), false, &outs[3]);
+      PackedDenseForward(input, packed, bias.data(), true, &outs[4]);
+      PackedDenseForwardSlice(input, packed, bias.data(), begin, cols,
+                              &outs[5]);
+      return outs;
+    };
+    const std::vector<Matrix> want = run_all("avx2");
+    for (size_t f = 0; f < 3; ++f) {
+      SCOPED_TRACE(testing::Message() << "packed vs unpacked, forward=" << f
+                                      << " m=" << s.m << " k=" << s.k
+                                      << " n=" << s.n);
+      ExpectIdentical(want[f], want[f + 3]);
+    }
+    for (const char* isa : AvailableMlKernelIsas()) {
+      if (std::string(isa) == "portable" || std::string(isa) == "avx2")
+        continue;
+      const std::vector<Matrix> got = run_all(isa);
+      for (size_t f = 0; f < want.size(); ++f) {
+        SCOPED_TRACE(testing::Message() << "isa=" << isa << " forward=" << f
+                                        << " m=" << s.m << " k=" << s.k
+                                        << " n=" << s.n);
+        ExpectIdentical(want[f], got[f]);
+      }
+    }
+  }
+}
+
+// A quant forward large enough to fan its rows out over the thread pool
+// must produce exactly the rows it produces below the parallel threshold:
+// activation quantization is per row, so row blocks are independent. The
+// workers read the caller's quantized activations; if they read any other
+// buffer (e.g. their own empty per-thread scratch) this crashes or differs.
+TEST(QuantizedDenseTest, ParallelForwardMatchesSubThresholdRowBlocks) {
+  if (ParallelWorkerCount() == 1)
+    GTEST_SKIP() << "single worker: the forward never runs in parallel";
+  // 512 * 128 * 160 = 10.5M multiply-adds, above the 4M parallel threshold
+  // of ml/kernels.cc; a 16-row block (0.33M) is well below it.
+  const size_t m = 512, k = 128, n = 160, block = 16;
+  const size_t begin = 5, cols = 150;  // 9.8M madds, still parallel.
+  Rng rng(31);
+  const Matrix input = RandomMatrix(m, k, rng);
+  const Matrix weights = RandomMatrix(k, n, rng);
+  const std::vector<float> bias = RandomBias(n, rng);
+  PackedDenseWeights packed;
+  packed.Build(weights);
+  ScopedMlKernelBackend scoped(MlKernelBackend::kQuant);
+  for (const char* isa : AvailableMlKernelIsas()) {
+    ScopedMlKernelIsa scoped_isa(isa);
+    ASSERT_TRUE(scoped_isa.ok()) << isa;
+    SCOPED_TRACE(testing::Message() << "isa=" << isa);
+    Matrix full, sliced;
+    PackedDenseForward(input, packed, bias.data(), /*relu=*/true, &full);
+    PackedDenseForwardSlice(input, packed, bias.data(), begin, cols, &sliced);
+    Matrix rows(block, k), part;
+    for (size_t r0 = 0; r0 < m; r0 += block) {
+      for (size_t r = 0; r < block; ++r)
+        std::copy(input.Row(r0 + r), input.Row(r0 + r) + k, rows.Row(r));
+      PackedDenseForward(rows, packed, bias.data(), /*relu=*/true, &part);
+      for (size_t r = 0; r < block; ++r)
+        for (size_t j = 0; j < n; ++j)
+          ASSERT_EQ(full.At(r0 + r, j), part.At(r, j))
+              << "full row " << r0 + r << " col " << j;
+      PackedDenseForwardSlice(rows, packed, bias.data(), begin, cols, &part);
+      for (size_t r = 0; r < block; ++r)
+        for (size_t j = 0; j < cols; ++j)
+          ASSERT_EQ(sliced.At(r0 + r, j), part.At(r, j))
+              << "slice row " << r0 + r << " col " << j;
     }
   }
 }
@@ -316,6 +418,16 @@ TEST(QuantizedDenseTest, ForwardBitIdenticalToScalarEmulationAcrossIsas) {
                                         << " k=" << s.k << " n=" << s.n
                                         << " relu=" << relu);
         ExpectIdentical(expected, got);
+        if (relu) continue;
+        // A window starting and ending inside tiles where the width
+        // allows: its edge tiles must dequantize exactly like whole ones.
+        const size_t begin = s.n / 3, cols = s.n - begin - s.n / 5;
+        PackedDenseForwardSlice(input, packed, bias.data(), begin, cols,
+                                &got);
+        for (size_t r = 0; r < s.m; ++r)
+          for (size_t c = 0; c < cols; ++c)
+            ASSERT_EQ(got.At(r, c), expected.At(r, begin + c))
+                << "slice begin=" << begin << " row " << r << " col " << c;
       }
     }
   }

@@ -56,6 +56,32 @@ TEST(ByteArchiveTest, ScalarRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+// Empty containers read back empty, and the reads after them still line
+// up. A default-constructed vector's data() is null, so this also pins
+// that a zero-length read never hands memcpy a null destination (UBSan).
+TEST(ByteArchiveTest, EmptyContainersRoundTrip) {
+  ByteWriter w;
+  w.Str("");
+  w.Floats({});
+  w.Ints({});
+  w.U32(9);
+  ByteReader r(w.buffer());
+  std::string s = "stale";
+  std::vector<float> f;
+  std::vector<int> n;
+  uint32_t u = 0;
+  ASSERT_TRUE(r.Str(&s));
+  ASSERT_TRUE(r.Floats(&f));
+  ASSERT_TRUE(r.Ints(&n));
+  ASSERT_TRUE(r.U32(&u));
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(f.empty());
+  EXPECT_TRUE(n.empty());
+  EXPECT_EQ(u, 9u);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_FALSE(r.failed());
+}
+
 TEST(ByteArchiveTest, CountingWriterTalliesWithoutBuffering) {
   ByteWriter full;
   ByteWriter counting = ByteWriter::Counting();
